@@ -25,13 +25,15 @@ import numpy as np
 from . import dynamics, equilibria, reports, spectrum
 from .dynamics import (
     CoefficientState,
+    CollisionError,
     ModelSpec,
     ParticleState,
     System,
     detect_period,
     simulate,
 )
-from .linalg import MovableSingularityError
+from .linalg import AmbiguousTrackingError, EigenvalueError, MovableSingularityError
+from .polynomials import RootFindingError
 
 _USAGE_ERROR = 2
 _FAILURE = 1
@@ -650,7 +652,13 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
-    except MovableSingularityError as exc:
+    except (
+        MovableSingularityError,
+        CollisionError,
+        AmbiguousTrackingError,
+        EigenvalueError,
+        RootFindingError,
+    ) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return _FAILURE
 

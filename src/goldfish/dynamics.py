@@ -901,7 +901,6 @@ def pde_residual(traj: Trajectory, spec: ModelSpec, z_samples) -> float:
 class StructuralReport:
     kind: str
     max_abs: float
-    details: dict
 
 
 def residual_quartic_n2(traj: Trajectory, a2: complex) -> float:
@@ -1092,4 +1091,4 @@ def structural_residuals(kind: str, **inputs) -> StructuralReport:
         value = residual_boundary_row(inputs["spec"], inputs["state"])
     else:
         raise ValueError(f"unknown structural check {kind!r}")
-    return StructuralReport(kind, float(value), {})
+    return StructuralReport(kind, float(value))

@@ -88,6 +88,12 @@ def test_sweep_determinism(tmp_path):
     assert run(argv + ["--json", str(a)]) == 0
     assert run(argv + ["--json", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    # a process pool gives the same cells; only the echoed thread count differs
+    two = tmp_path / "two.json"
+    assert run(argv[:-1] + ["2", "--json", str(two)]) == 0
+    one, pooled = json.loads(a.read_text()), json.loads(two.read_text())
+    assert pooled["results"] == one["results"]
+    assert pooled["failures"] == one["failures"]
 
 
 def test_sweep_negative_control(tmp_path):
@@ -190,6 +196,14 @@ def test_simulate_spectral_csv_column_count(tmp_path):
     assert code == 0
     header = csv.read_text().splitlines()[0].split(",")
     assert len(header) == 1 + 4  # t plus re/im for two bodies
+
+
+def test_collision_is_a_runtime_failure(capsys):
+    code = run(["simulate", "--system", "gold", "--n", "2", "--z0", "0,0", "--z0", "0,0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: ")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_usage_error_on_bad_complex():

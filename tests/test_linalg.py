@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -99,10 +101,44 @@ def test_integrator_tolerance_scaling():
     for tol, err in zip((1e-6, 1e-8, 1e-10, 1e-12), errs):
         assert err <= 10 * tol ** 0.8
 
+    # the bound is componentwise: a longer state must not let any single
+    # component drift further than a scalar one would
+    omega = np.linspace(0.5, 3.0, 16)
+    amp = np.linspace(0.2, 5.0, 16) * np.exp(1j * np.linspace(0.0, 3.0, 16))
+    for tol in (1e-6, 1e-8, 1e-10, 1e-12):
+        traj = integrate_ode(lambda t, y: 1j * omega * y, amp, (0.0, 2 * np.pi), tol=tol)
+        exact = amp * np.exp(1j * omega * 2 * np.pi)
+        assert np.all(np.abs(traj.states[-1] - exact) <= 10 * tol ** 0.8)
+
+
+def test_integrator_dense_output():
+    ts = np.linspace(0.0, 2.0, 9)
+    traj, dense = integrate_ode(
+        lambda t, y: 1j * y,
+        np.array([1.0 + 0j]),
+        (0.0, 2.0),
+        tol=1e-11,
+        t_eval=ts,
+        return_dense=True,
+    )
+    for t, row in zip(ts, traj.states):
+        assert np.max(np.abs(dense(t) - row)) < 1e-14
+    assert abs(dense(1.3)[0] - np.exp(1.3j)) < 1e-9
+    for t in (-1e-9, 2.0 + 1e-9):
+        with pytest.raises(ValueError):
+            dense(t)
+
 
 def test_integrator_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         integrate_ode(lambda t, y: y, np.array([1.0 + 0j]), (0.0, 1.0), tol=1e-3)
+
+
+def test_integrator_tightest_tolerance_is_silent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate_ode(lambda t, y: 1j * y, np.ones(4, dtype=complex), (0.0, 1.0), tol=1e-14)
+    assert np.max(np.abs(traj.states[-1] - np.exp(1j))) < 1e-12
 
 
 def test_integrator_detects_movable_pole():
