@@ -32,7 +32,12 @@ from .dynamics import (
     detect_period,
     simulate,
 )
-from .linalg import AmbiguousTrackingError, EigenvalueError, MovableSingularityError
+from .linalg import (
+    AmbiguousTrackingError,
+    EigenvalueError,
+    MovableSingularityError,
+    multiset_distance,
+)
 from .polynomials import RootFindingError
 
 _USAGE_ERROR = 2
@@ -395,7 +400,7 @@ def cmd_verify(args) -> int:
         spectral = simulate(spec, ParticleState(z, v), t, "spectral", tol=1e-12)
         dev = 0.0
         for a, b in zip(direct.values, spectral.values):
-            dev = max(dev, _multiset_distance(a, b))
+            dev = max(dev, multiset_distance(a, b))
         return dev, 1e-7
 
     def coupling_identity():
@@ -433,14 +438,6 @@ def cmd_verify(args) -> int:
     )
     _emit(args, report)
     return 0 if ok else _FAILURE
-
-
-def _multiset_distance(a, b) -> float:
-    from scipy.optimize import linear_sum_assignment
-
-    cost = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.max(cost[rows, cols]))
 
 
 # ---------------------------------------------------------------------------

@@ -302,42 +302,56 @@ def eval_rhs(spec: ModelSpec, state):
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
+def _iso_bracket(c, w, ms):
+    """Rows ``m in ms`` of the isochronous (ALTISOGOLD) coefficient
+    recurrence ``cddot_m = -F_m(c, w)``, written with ``w = i cdot``.
+
+    ``c`` and ``w`` hold ``c_1..c_N`` and ``w_1..w_N`` of any scalar type
+    with ``+``, ``-``, ``*`` and integer powers (complex, ``Fraction``, a
+    jet).  ``c_0 = 1``, ``w_0 = 0``, and all other out-of-range members
+    are zero: the two trailing zeros serve ``m + 1`` and ``m + 2`` and,
+    through negative indexing, ``m - 1`` and ``m - 2``.
+    """
+    C = [1, *c, 0, 0]
+    W = [0, *w, 0, 0]
+    return [
+        2 * (m - 1) * W[m + 1]
+        - (2 * m + 1 + 2 * C[1]) * W[m]
+        - (m + 2) * (m - 3) * C[m + 2]
+        + 2 * (m - 1) * (m + 1 + C[1]) * C[m + 1]
+        + (-m * (m + 1) + 2 * W[1] - 2 * (m - 1) * C[1] + 2 * C[1] ** 2 - 6 * C[2]) * C[m]
+        for m in ms
+    ]
+
+
+def _rational_bracket(c, cdot, a2, ms):
+    """Rows ``m in ms`` of the rational-time (ALTGOLD, GAMMATAU) coefficient
+    recurrence ``cddot_m = -F_m(c, cdot)``; scalar types and boundary
+    conventions as in :func:`_iso_bracket`."""
+    N = len(c)
+    C = [1, *c, 0, 0]
+    D = [0, *cdot, 0, 0]
+    return [
+        2 * (m - 1) * D[m + 1]
+        - 2 * C[1] * D[m]
+        + 2 * (N + 1 - m) * a2 * D[m - 1]
+        + (m + 2) * (m - 3) * C[m + 2]
+        - 2 * (m - 1) * C[1] * C[m + 1]
+        + 2 * (m * (N + 2 - m) * a2 + D[1] - C[1] ** 2 + 3 * C[2]) * C[m]
+        - 2 * (N + 1 - m) * a2 * C[1] * C[m - 1]
+        + (N + 2 - m) * (N + 1 - m) * a2 ** 2 * C[m - 2]
+        for m in ms
+    ]
+
+
+def _coefficient_bracket(spec: ModelSpec, c: np.ndarray, cdot: np.ndarray, ms) -> list:
+    if spec.system is System.ALTISOGOLD:
+        return _iso_bracket(c.tolist(), (1j * cdot).tolist(), ms)
+    return _rational_bracket(c.tolist(), cdot.tolist(), spec.a2, ms)
+
+
 def _coefficient_rhs(spec: ModelSpec, c: np.ndarray, cdot: np.ndarray) -> np.ndarray:
-    N = spec.N
-
-    def C(m):
-        if m == 0:
-            return 1.0 + 0.0j
-        return c[m - 1] if 1 <= m <= N else 0.0 + 0.0j
-
-    def Cd(m):
-        return cdot[m - 1] if 1 <= m <= N else 0.0 + 0.0j
-
-    out = np.empty(N, dtype=complex)
-    if spec.system in (System.ALTGOLD, System.GAMMATAU):
-        a2 = spec.a2
-        for m in range(1, N + 1):
-            out[m - 1] = -(
-                2 * (m - 1) * Cd(m + 1)
-                - 2 * C(1) * Cd(m)
-                + 2 * (N + 1 - m) * a2 * Cd(m - 1)
-                + (m + 2) * (m - 3) * C(m + 2)
-                - 2 * (m - 1) * C(1) * C(m + 1)
-                + 2 * (m * (N + 2 - m) * a2 + Cd(1) - C(1) ** 2 + 3 * C(2)) * C(m)
-                - 2 * (N + 1 - m) * a2 * C(1) * C(m - 1)
-                + (N + 2 - m) * (N + 1 - m) * a2 ** 2 * C(m - 2)
-            )
-    else:  # ALTISOGOLD
-        for m in range(1, N + 1):
-            out[m - 1] = -(
-                2 * (m - 1) * 1j * Cd(m + 1)
-                - (2 * m + 1 + 2 * C(1)) * 1j * Cd(m)
-                - (m + 2) * (m - 3) * C(m + 2)
-                + 2 * (m - 1) * (m + 1 + C(1)) * C(m + 1)
-                + (-m * (m + 1) + 2j * Cd(1) - 2 * (m - 1) * C(1) + 2 * C(1) ** 2 - 6 * C(2))
-                * C(m)
-            )
-    return out
+    return -np.array(_coefficient_bracket(spec, c, cdot, range(1, spec.N + 1)), dtype=complex)
 
 
 def _matrix_rhs(spec: ModelSpec, U: np.ndarray, Udot: np.ndarray) -> np.ndarray:
@@ -1038,34 +1052,15 @@ def residual_ansatz_offdiag(spec: ModelSpec, traj: Trajectory) -> float:
 
 
 def residual_boundary_row(spec: ModelSpec, state: CoefficientState) -> float:
-    """Value of the index-zero row of the coefficient dynamics.
+    """Value of the index-zero row of the spec's coefficient dynamics.
 
     With ``c_0 = 1`` fixed and negative-index coefficients zero, the row
     collapses identically; evaluating it guards the boundary conventions.
+    Particle and matrix specs have no such row and raise ``ValueError``.
     """
-    N = spec.N
-    c, cdot = state.c, state.cdot
-
-    def C(m):
-        if m == 0:
-            return 1.0 + 0.0j
-        return c[m - 1] if 1 <= m <= N else 0.0 + 0.0j
-
-    def Cd(m):
-        return cdot[m - 1] if 1 <= m <= N else 0.0 + 0.0j
-
-    a2 = spec.a2
-    m = 0
-    value = (
-        2 * (m - 1) * Cd(m + 1)
-        - 2 * C(1) * Cd(m)
-        + 2 * (N + 1 - m) * a2 * Cd(m - 1)
-        + (m + 2) * (m - 3) * C(m + 2)
-        - 2 * (m - 1) * C(1) * C(m + 1)
-        + 2 * (m * (N + 2 - m) * a2 + Cd(1) - C(1) ** 2 + 3 * C(2)) * C(m)
-        - 2 * (N + 1 - m) * a2 * C(1) * C(m - 1)
-        + (N + 2 - m) * (N + 1 - m) * a2 ** 2 * C(m - 2)
-    )
+    if spec.system not in _COEFFICIENT:
+        raise ValueError(f"{spec.system.value} is not a coefficient system")
+    (value,) = _coefficient_bracket(spec, state.c, state.cdot, [0])
     return abs(value)
 
 

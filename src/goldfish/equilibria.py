@@ -27,6 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .dynamics import _iso_bracket, _rational_bracket
 from .polynomials import (
     MonicPolynomial,
     PLAIN,
@@ -41,7 +42,6 @@ __all__ = [
     "Family",
     "GenuinenessReport",
     "RecursionSolution",
-    "altgold_binomial_closed_form",
     "cbar_closed_form",
     "chi_recurrence_residuals",
     "enumerate_altgold_equilibria",
@@ -393,19 +393,6 @@ def expand_altgold_psi(family: Family, N: int, a, mu: int, nu: int = 0, c=Fracti
     return tuple(seq[1:])
 
 
-def altgold_binomial_closed_form(N: int, a, mu: int):
-    """Binomial-family coefficients from the double-binomial closed form
-    (independent of the polynomial expansion; used as its oracle)."""
-    a = Fraction(a)
-    out = []
-    for m in range(1, N + 1):
-        s = Fraction(0)
-        for el in range(max(0, m + mu - N), min(mu, m) + 1):
-            s += Fraction(-1) ** el * math.comb(mu, el) * math.comb(N - mu, m - el)
-        out.append(a ** m * s)
-    return tuple(out)
-
-
 def enumerate_altgold_equilibria(N: int, a, free_samples=DEFAULT_FREE_SAMPLES):
     """All equilibrium configurations of the rational-time coefficient
     system: the binomial family plus the two free-constant families."""
@@ -445,40 +432,14 @@ def enumerate_altgold_equilibria(N: int, a, free_samples=DEFAULT_FREE_SAMPLES):
 
 def equilibrium_residual(config: EquilibriumConfig):
     """Exact residual vector of the algebraic equilibrium system matching
-    the config's family (isochronous or rational-time)."""
+    the config's family (isochronous or rational-time): the family's
+    coefficient recurrence with every velocity set to zero."""
     N = config.N
-    cb = config.cbar
-
-    def C(m):
-        if m == 0:
-            return Fraction(1)
-        return cb[m - 1] if 1 <= m <= N else Fraction(0)
-
-    out = []
+    ms = range(1, N + 1)
     if config.family is Family.ISO:
-        for m in range(1, N + 1):
-            out.append(
-                -Fraction((m + 2) * (m - 3)) * C(m + 2)
-                + 2 * Fraction(m - 1) * (Fraction(m + 1) + C(1)) * C(m + 1)
-                + (
-                    -Fraction(m * (m + 1))
-                    - 2 * Fraction(m - 1) * C(1)
-                    + 2 * C(1) ** 2
-                    - 6 * C(2)
-                )
-                * C(m)
-            )
-    else:
-        a2 = Fraction(config.free["a"]) ** 2
-        for m in range(1, N + 1):
-            out.append(
-                Fraction((m + 2) * (m - 3)) * C(m + 2)
-                - 2 * Fraction(m - 1) * C(1) * C(m + 1)
-                + 2 * (Fraction(m * (N + 2 - m)) * a2 - C(1) ** 2 + 3 * C(2)) * C(m)
-                - 2 * Fraction(N + 1 - m) * a2 * C(1) * C(m - 1)
-                + Fraction((N + 2 - m) * (N + 1 - m)) * a2 ** 2 * C(m - 2)
-            )
-    return tuple(out)
+        return tuple(_iso_bracket(config.cbar, [0] * N, ms))
+    a2 = Fraction(config.free["a"]) ** 2
+    return tuple(_rational_bracket(config.cbar, [0] * N, a2, ms))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ __all__ = [
     "TrackedPaths",
     "eigenvalues",
     "integrate_ode",
+    "multiset_distance",
     "permutation_order",
     "track_trajectories",
 ]
@@ -227,6 +228,14 @@ def permutation_order(perm) -> int:
             length += 1
         order = order * length // np.gcd(order, length)
     return int(order)
+
+
+def multiset_distance(a, b) -> float:
+    """Largest distance in a minimum-cost injective matching of the values
+    ``a`` into the values ``b`` (``len(a) <= len(b)``)."""
+    cost = np.abs(np.asarray(a, dtype=complex)[:, None] - np.asarray(b, dtype=complex)[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.max(cost[rows, cols]))
 
 
 def _match_frames(prev: np.ndarray, new: np.ndarray):

@@ -23,13 +23,13 @@ from goldfish.dynamics import (
 )
 from goldfish.equilibria import (
     Family,
-    altgold_binomial_closed_form,
     enumerate_altgold_equilibria,
     equilibrium_residual,
     expand_altgold_psi,
 )
 from goldfish.linalg import MovableSingularityError
 from goldfish.spectrum import verify_conjectures, verify_integrality
+from oracles import altgold_binomial_closed_form
 
 GRID_NUS = (0, 1, 3, 4, 5)
 GRID_N_MAX = 10

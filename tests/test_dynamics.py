@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+import oracles
 from goldfish.dynamics import (
     CoefficientState,
     CollisionError,
@@ -433,6 +434,27 @@ def test_boundary_row_vanishes():
     c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     cd = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     assert residual_boundary_row(spec, CoefficientState(c, cd)) < 1e-13
+    iso = ModelSpec(System.ALTISOGOLD, 4)
+    assert residual_boundary_row(iso, CoefficientState(c, cd)) < 1e-13
+    with pytest.raises(ValueError):
+        residual_boundary_row(ModelSpec(System.GOLD, 4), CoefficientState(c, cd))
+
+
+def test_coefficient_rhs_bit_identical_to_oracle():
+    rng = np.random.default_rng(26)
+    for _ in range(100):
+        for n in range(1, 9):
+            for system, a2 in (
+                (System.ALTISOGOLD, 0.0),
+                (System.ALTGOLD, complex(*rng.standard_normal(2))),
+                (System.GAMMATAU, 0.0),
+            ):
+                spec = ModelSpec(system, n, a2=a2)
+                c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                cd = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                got = eval_rhs(spec, CoefficientState(c, cd))
+                want = oracles.coefficient_rhs(spec, c, cd)
+                assert np.array_equal(got.view(float), want.view(float)), (system, n)
 
 
 def test_structural_dispatcher():

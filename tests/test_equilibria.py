@@ -3,12 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from goldfish.equilibria import (
     DEFAULT_FREE_SAMPLES,
     EquilibriumConfig,
     Family,
     ResonantBranchError,
-    altgold_binomial_closed_form,
     cbar_closed_form,
     chi_recurrence_residuals,
     enumerate_altgold_equilibria,
@@ -208,9 +208,25 @@ def test_binomial_closed_form_is_oracle_for_expansion():
     for N in (2, 4, 6):
         for mu in range(N + 1):
             a = Fraction(1, 2)
-            assert altgold_binomial_closed_form(N, a, mu) == expand_altgold_psi(
+            assert oracles.altgold_binomial_closed_form(N, a, mu) == expand_altgold_psi(
                 Family.ALTGOLD_BINOMIAL, N, a, mu
             )
+
+
+def test_residual_equals_oracle():
+    """Derived residuals equal the hand-written ones on every enumerated
+    configuration of both families, and on each with c_1 shifted off the
+    equilibrium."""
+    for N in range(1, 9):
+        configs = enumerate_iso_equilibria(N, include_resonant=True)
+        for a in (Fraction(1), Fraction(1, 2)):
+            configs += enumerate_altgold_equilibria(N, a)
+        for cfg in configs:
+            cbar = (cfg.cbar[0] + Fraction(1, 3),) + cfg.cbar[1:]
+            shifted = EquilibriumConfig(cfg.family, N, cfg.nu, cfg.mu, cfg.free, cbar)
+            assert equilibrium_residual(cfg) == oracles.equilibrium_residual(cfg)
+            assert equilibrium_residual(shifted) == oracles.equilibrium_residual(shifted)
+            assert any(r != 0 for r in equilibrium_residual(shifted)), cfg
 
 
 def test_tail_family_example_has_exact_residual():

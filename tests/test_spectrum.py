@@ -2,16 +2,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from goldfish.equilibria import cbar_closed_form
+import oracles
+from goldfish.equilibria import cbar_closed_form, expand_iso_psi
 from goldfish.polynomials import IntegerPolynomial, pencil_charpoly_exact
 from goldfish.spectrum import (
     DEFAULT_NU5_SAMPLES,
     build_pencil,
     conjecture_215_product,
     conjecture_217_claim,
-    linearized_apply,
     solve_pencil_numeric,
     verify_conjectures,
     verify_integrality,
@@ -51,6 +53,39 @@ def test_pencil_triangular_at_trivial_equilibrium():
         for i in range(n):
             for j in range(i):
                 assert pen.A[i][j] == 0 and pen.B[i][j] == 0
+
+
+def _grid_cbars():
+    """Every pencil the N <= 10 integrality grid builds."""
+    for n in range(1, 11):
+        for nu in (0, 1, 3, 4, 5):
+            for mu in range(nu, n + 1):
+                for c in DEFAULT_NU5_SAMPLES if nu == 5 else (Fraction(0),):
+                    yield cbar_closed_form(nu, mu, n, c)
+
+
+def test_pencil_equals_oracle_on_grid():
+    """The derived pencil is exactly the hand-assembled one on the grid,
+    on the grid with c_1 shifted off the equilibria, and on the resonant
+    nu = 8 branch."""
+    for cbar in _grid_cbars():
+        shifted = (cbar[0] + Fraction(1, 2),) + cbar[1:]
+        for cb in (cbar, shifted):
+            assert build_pencil(cb) == oracles.pencil(cb), cb
+    for n in (8, 9, 10):
+        for mu in range(8, n + 1):
+            for c in (Fraction(1), Fraction(-3)):
+                cb = expand_iso_psi(8, mu, n, c)
+                assert build_pencil(cb) == oracles.pencil(cb), cb
+
+
+@given(
+    st.lists(
+        st.fractions(min_value=-20, max_value=20, max_denominator=12), min_size=1, max_size=8
+    )
+)
+def test_pencil_equals_oracle_on_random_cbar(cbar):
+    assert build_pencil(cbar) == oracles.pencil(cbar)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +134,7 @@ def test_linearized_apply_matches_pencil():
         B = np.array([[float(x) for x in row] for row in pen.B], dtype=complex)
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         p = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        direct = linearized_apply(cb, r, p)
+        direct = oracles.linearized_apply(cb, r, p)
         assembled = (p * p * np.eye(n) + p * A + B) @ r
         assert np.max(np.abs(direct - assembled)) < 1e-12
 
