@@ -12,7 +12,8 @@ systems real at their equilibria; converting between the two multiplies
 
 Exact-arithmetic utilities (:class:`IntegerPolynomial`,
 :func:`pencil_charpoly_exact`, :func:`integer_roots`) never round: they
-run over :class:`fractions.Fraction` with arbitrary-precision integers.
+take and return :class:`fractions.Fraction` coefficients, but scale their
+input to integers once and do the arithmetic on plain ``int``.
 """
 
 from __future__ import annotations
@@ -202,13 +203,26 @@ def coeff_velocities(zeros, zero_velocities, conv: CoefficientConvention = PLAIN
 # exact integer / rational polynomial arithmetic
 
 
+def _as_fraction(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def exact_binomial(x, k: int) -> Fraction:
-    """Binomial coefficient as a falling-factorial product, exact for
-    rational ``x``; zero for negative ``k``."""
+    """Binomial coefficient ``x (x - 1) ... (x - k + 1) / k!``, exact for
+    rational ``x``; zero for negative ``k``.
+
+    Integer ``x`` goes through :func:`math.comb`, negative ``x`` by
+    ``binom(x, k) = (-1)^k comb(k - x - 1, k)``.
+    """
     if k < 0:
         return Fraction(0)
+    x = _as_fraction(x)
+    if x.denominator == 1:
+        n = x.numerator
+        if n >= 0:
+            return Fraction(math.comb(n, k))
+        return Fraction((-1) ** k * math.comb(k - n - 1, k))
     num = Fraction(1)
-    x = Fraction(x)
     for j in range(k):
         num *= x - j
     return num / math.factorial(k)
@@ -328,89 +342,103 @@ class IntegerPolynomial:
         return acc
 
 
-def _bareiss_det(rows) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Rational entries are scaled to integers first so all intermediate
-    divisions are exact integer divisions.
-    """
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    den = 1
-    fr = [[Fraction(x) for x in row] for row in rows]
-    for row in fr:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    m = [[int(x * den) for x in row] for row in fr]
+def _bareiss_det(rows: list[list[int]]) -> int:
+    """Exact determinant of an integer matrix by fraction-free (Bareiss)
+    elimination.  Each step replaces the matrix by its trailing minor; every
+    division is exact."""
+    if not rows:
+        return 1
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
+    while len(rows) > 1:
+        if rows[0][0] == 0:
+            for i in range(1, len(rows)):
+                if rows[i][0] != 0:
+                    rows[0], rows[i] = rows[i], rows[0]
                     sign = -sign
                     break
             else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], den ** n)
+                return 0
+        pivot = rows[0][0]
+        tail = rows[0][1:]
+        rows = [
+            [(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in rows[1:]
+        ]
+        prev = pivot
+    return sign * rows[0][0]
 
 
-def _lagrange_interpolate(points, values, degree: int) -> IntegerPolynomial:
-    """Exact Lagrange interpolation through ``degree + 1`` nodes."""
-    acc = [Fraction(0)] * (degree + 1)
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, b in enumerate(basis):
-                new[k] += -xj * b
-                new[k + 1] += b
-            basis = new
-            denom *= xi - xj
-        w = Fraction(yi) / denom
-        for k, b in enumerate(basis):
-            acc[k] += w * b
-    return IntegerPolynomial(tuple(acc))
+def _lagrange_interpolate(points, values) -> tuple[list[int], int]:
+    """Exact Lagrange interpolation through integer nodes and values.
+
+    Returns integer coefficients ``num`` (ascending) and one common
+    denominator ``den``: the interpolant is ``sum_k num[k] x^k / den``.
+    Each basis polynomial is the node polynomial ``prod_j (x - x_j)``
+    divided synthetically by its own ``(x - x_i)``.
+    """
+    node = [1]
+    for xj in points:
+        node = [0] + node
+        for k in range(len(node) - 1):
+            node[k] -= xj * node[k + 1]
+    weights = [math.prod(xi - xj for xj in points if xj != xi) for xi in points]
+    den = math.lcm(*weights)
+    num = [0] * len(points)
+    for xi, yi, wi in zip(points, values, weights):
+        if yi == 0:
+            continue
+        f = yi * (den // wi)
+        carry = 0
+        for k in range(len(points), 0, -1):
+            carry = node[k] + carry * xi
+            num[k - 1] += f * carry
+    return num, den
+
+
+def _horner(coeffs: list[int], x: int) -> int:
+    acc = 0
+    for a in reversed(coeffs):
+        acc = acc * x + a
+    return acc
 
 
 def pencil_charpoly_exact(A, B) -> IntegerPolynomial:
     """``det(p^2 I + p A + B)`` computed exactly for rational ``A``, ``B``.
 
-    The determinant is evaluated at the ``2N + 1`` integers ``p = -N..N``
-    by fraction-free elimination and interpolated exactly; the result is
-    cross-checked at one extra evaluation point and must be monic of
-    degree exactly ``2N``.
+    ``A`` and ``B`` are scaled to integers once, by the lcm ``D`` of all
+    their denominators, so ``D (p^2 I + p A + B)`` is an integer matrix at
+    every integer ``p``.  Its determinant is evaluated at the ``2N + 1``
+    integers ``p = -N..N`` by fraction-free elimination on plain integers
+    and interpolated exactly over one common denominator; only the final
+    coefficients are rationals (the determinant is ``det_int / D^N``).
+    The result is cross-checked at one extra evaluation point and must be
+    monic of degree exactly ``2N``.
     """
-    A = [list(map(Fraction, row)) for row in A]
-    B = [list(map(Fraction, row)) for row in B]
+    A = [[_as_fraction(x) for x in row] for row in A]
+    B = [[_as_fraction(x) for x in row] for row in B]
     n = len(A)
     if any(len(r) != n for r in A) or len(B) != n or any(len(r) != n for r in B):
         raise ValueError("A and B must be square matrices of equal size")
+    D = math.lcm(*(x.denominator for row in A + B for x in row))
+    Ai = [[x.numerator * (D // x.denominator) for x in row] for row in A]
+    Bi = [[x.numerator * (D // x.denominator) for x in row] for row in B]
 
-    def det_at(p: int) -> Fraction:
-        p = Fraction(p)
-        m = [
-            [(p * p if i == j else Fraction(0)) + p * A[i][j] + B[i][j] for j in range(n)]
-            for i in range(n)
-        ]
+    def det_at(p: int) -> int:
+        """``D^N det(p^2 I + p A + B)``."""
+        m = [[p * a + b for a, b in zip(ra, rb)] for ra, rb in zip(Ai, Bi)]
+        d = D * p * p
+        for i in range(n):
+            m[i][i] += d
         return _bareiss_det(m)
 
     points = list(range(-n, n + 1))
-    values = [det_at(p) for p in points]
-    poly = _lagrange_interpolate(points, values, 2 * n)
+    num, den = _lagrange_interpolate(points, [det_at(p) for p in points])
     check = n + 1
-    if poly(check) != det_at(check):
+    if _horner(num, check) != den * det_at(check):
         raise ArithmeticError("interpolation cross-check failed")
-    if poly.degree != 2 * n or poly.leading != 1:
+    scale = den * D**n
+    poly = IntegerPolynomial(tuple(Fraction(c, scale) for c in num))
+    if num[-1] != scale:
         raise ArithmeticError(
             f"characteristic polynomial must be monic of degree {2 * n}, "
             f"got degree {poly.degree} with leading {poly.leading}"
@@ -418,49 +446,51 @@ def pencil_charpoly_exact(A, B) -> IntegerPolynomial:
     return poly
 
 
-def _root_bound(q: IntegerPolynomial) -> int:
-    """Integer window radius containing all roots.
+def _root_bound(c: list[int]) -> int:
+    """Integer window radius containing all roots of ``sum_k c[k] p^k``.
 
     Uses the smaller of the Cauchy bound ``1 + max|c_k/c_n|`` and the
     Fujiwara bound ``2 max_k |c_(n-k)/c_n|^(1/k)``; the Cauchy bound alone
     grows with the coefficient size and becomes impractically wide for the
     high-degree spectra handled here.
     """
-    c = q.coeffs
-    n = q.degree
+    n = len(c) - 1
     lead = abs(c[-1])
-    cauchy = 1 + max(abs(a) / lead for a in c[:-1]) if n >= 1 else Fraction(0)
+    cauchy = (lead + max(abs(a) for a in c[:-1])) / lead
     fuji = 0.0
     for k in range(1, n + 1):
-        a = abs(c[n - k] / lead)
+        a = abs(c[n - k])
         if a:
-            fuji = max(fuji, float(a) ** (1.0 / k))
-    bound = min(float(cauchy), 2.0 * fuji)
-    return int(math.floor(bound)) + 1
+            fuji = max(fuji, (a / lead) ** (1.0 / k))
+    return int(math.floor(min(cauchy, 2.0 * fuji))) + 1
 
 
 def integer_roots(q: IntegerPolynomial):
     """All integer roots (with multiplicity) and the deflated remainder.
 
-    Every integer in the root-bound window is tested; found roots are
-    deflated exactly and re-tested, so multiplicities are counted. The
-    remainder has no integer roots.
+    ``q`` is scaled once to integer coefficients.  One ascending pass over
+    the root-bound window tests every integer by Horner evaluation; a
+    found root is deflated exactly (synthetic division) and re-tested, so
+    multiplicities are counted.  Deflation adds no roots, so the first
+    bound holds for every quotient and every integer below the current one
+    has already failed.  The remainder has no integer roots.
     """
     if q.is_zero:
         raise ValueError("the zero polynomial has no well-defined root set")
+    den = math.lcm(*(a.denominator for a in q.coeffs))
+    c = [a.numerator * (den // a.denominator) for a in q.coeffs]
     roots = []
-    rem = q
-    while rem.degree >= 1:
-        bound = _root_bound(rem)
-        found = None
+    if len(c) > 1:
+        bound = _root_bound(c)
         for r in range(-bound, bound + 1):
-            if rem(r) == 0:
-                found = r
+            while _horner(c, r) == 0:  # a nonzero constant never vanishes
+                roots.append(r)
+                carry = 0
+                quotient = []
+                for a in reversed(c[1:]):
+                    carry = carry * r + a
+                    quotient.append(carry)
+                c = quotient[::-1]
+            if len(c) == 1:
                 break
-        if found is None:
-            break
-        # deflate repeatedly to absorb the full multiplicity
-        while rem.degree >= 1 and rem(found) == 0:
-            roots.append(found)
-            rem = rem.deflate(found)
-    return sorted(roots), rem
+    return roots, IntegerPolynomial(tuple(Fraction(a, den) for a in c))

@@ -5,6 +5,12 @@ with its own padding closures: the library writes each recurrence once
 and derives the equations of motion, the equilibrium residuals and the
 small-oscillation pencil from it, so these hand-written forms are the
 oracle for every derived consumer.
+
+The exact spectral kernels are kept here in their ``Fraction`` form (a
+rational matrix per determinant node, one rational Lagrange basis at a
+time, a root scan that restarts after every root, a falling-factorial
+binomial): the library runs the same computations on plain integers and
+must reproduce these results exactly.
 """
 
 import math
@@ -14,6 +20,7 @@ import numpy as np
 
 from goldfish.dynamics import System
 from goldfish.equilibria import Family
+from goldfish.polynomials import IntegerPolynomial
 from goldfish.spectrum import QuadraticPencil
 
 
@@ -178,3 +185,124 @@ def altgold_binomial_closed_form(N: int, a, mu: int):
             s += Fraction(-1) ** el * math.comb(mu, el) * math.comb(N - mu, m - el)
         out.append(a ** m * s)
     return tuple(out)
+
+
+def exact_binomial(x, k: int) -> Fraction:
+    """Binomial coefficient as a falling-factorial product over the
+    rationals; zero for negative ``k``."""
+    if k < 0:
+        return Fraction(0)
+    num = Fraction(1)
+    x = Fraction(x)
+    for j in range(k):
+        num *= x - j
+    return num / math.factorial(k)
+
+
+def bareiss_det(rows) -> Fraction:
+    """Exact determinant by fraction-free (Bareiss) elimination, with the
+    matrix rescaled to integers by the lcm of its own denominators."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    den = 1
+    fr = [[Fraction(x) for x in row] for row in rows]
+    for row in fr:
+        for x in row:
+            den = den * x.denominator // math.gcd(den, x.denominator)
+    m = [[int(x * den) for x in row] for row in fr]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return Fraction(sign * m[n - 1][n - 1], den ** n)
+
+
+def lagrange_interpolate(points, values, degree: int) -> IntegerPolynomial:
+    """Exact Lagrange interpolation through ``degree + 1`` nodes, one
+    ``Fraction`` basis at a time."""
+    acc = [Fraction(0)] * (degree + 1)
+    for i, (xi, yi) in enumerate(zip(points, values)):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, xj in enumerate(points):
+            if j == i:
+                continue
+            new = [Fraction(0)] * (len(basis) + 1)
+            for k, b in enumerate(basis):
+                new[k] += -xj * b
+                new[k + 1] += b
+            basis = new
+            denom *= xi - xj
+        w = Fraction(yi) / denom
+        for k, b in enumerate(basis):
+            acc[k] += w * b
+    return IntegerPolynomial(tuple(acc))
+
+
+def charpoly(A, B) -> IntegerPolynomial:
+    """``det(p^2 I + p A + B)``: a ``Fraction`` matrix per node ``-N..N``,
+    each determinant by :func:`bareiss_det`, then :func:`lagrange_interpolate`."""
+    A = [list(map(Fraction, row)) for row in A]
+    B = [list(map(Fraction, row)) for row in B]
+    n = len(A)
+
+    def det_at(p: int) -> Fraction:
+        p = Fraction(p)
+        m = [
+            [(p * p if i == j else Fraction(0)) + p * A[i][j] + B[i][j] for j in range(n)]
+            for i in range(n)
+        ]
+        return bareiss_det(m)
+
+    points = list(range(-n, n + 1))
+    poly = lagrange_interpolate(points, [det_at(p) for p in points], 2 * n)
+    assert poly(n + 1) == det_at(n + 1)
+    return poly
+
+
+def _root_bound(q: IntegerPolynomial) -> int:
+    """The smaller of the Cauchy and Fujiwara root bounds, plus one."""
+    c = q.coeffs
+    n = q.degree
+    lead = abs(c[-1])
+    cauchy = 1 + max(abs(a) / lead for a in c[:-1]) if n >= 1 else Fraction(0)
+    fuji = 0.0
+    for k in range(1, n + 1):
+        a = abs(c[n - k] / lead)
+        if a:
+            fuji = max(fuji, float(a) ** (1.0 / k))
+    bound = min(float(cauchy), 2.0 * fuji)
+    return int(math.floor(bound)) + 1
+
+
+def integer_roots(q: IntegerPolynomial):
+    """All integer roots and the deflated remainder, by ``Fraction``
+    evaluation: after each root found, deflate its full multiplicity and
+    rescan a fresh window from its lower end."""
+    roots = []
+    rem = q
+    while rem.degree >= 1:
+        bound = _root_bound(rem)
+        found = None
+        for r in range(-bound, bound + 1):
+            if rem(r) == 0:
+                found = r
+                break
+        if found is None:
+            break
+        while rem.degree >= 1 and rem(found) == 0:
+            roots.append(found)
+            rem = rem.deflate(found)
+    return sorted(roots), rem

@@ -1,8 +1,12 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from goldfish.equilibria import iso_core_residual
 from goldfish.polynomials import (
     IntegerPolynomial,
@@ -14,6 +18,7 @@ from goldfish.polynomials import (
     find_roots,
     from_roots,
     integer_roots,
+    _root_bound,
     pencil_charpoly_exact,
 )
 
@@ -149,24 +154,27 @@ def _poly_det_by_minors(entries):
 def test_pencil_charpoly_matches_minor_expansion():
     rng = np.random.default_rng(17)
     n = 4
-    A = rng.integers(-5, 6, (n, n))
-    B = rng.integers(-5, 6, (n, n))
-    fast = pencil_charpoly_exact(A.tolist(), B.tolist())
-    entries = [
-        [
-            IntegerPolynomial(
-                (
-                    Fraction(int(B[i][j])),
-                    Fraction(int(A[i][j])),
-                    Fraction(1 if i == j else 0),
+    integral = (rng.integers(-5, 6, (n, n)).tolist(), rng.integers(-5, 6, (n, n)).tolist())
+    # mixed denominators, so the one-time integer scaling is not the identity
+    dens = (1, 2, 3, 4, 6, 9)
+
+    def entry():
+        return Fraction(int(rng.integers(-9, 10)), dens[int(rng.integers(len(dens)))])
+
+    rational = tuple([[entry() for _ in range(n)] for _ in range(n)] for _ in range(2))
+    for A, B in (integral, rational):
+        fast = pencil_charpoly_exact(A, B)
+        entries = [
+            [
+                IntegerPolynomial(
+                    (Fraction(B[i][j]), Fraction(A[i][j]), Fraction(1 if i == j else 0))
                 )
-            )
-            for j in range(n)
+                for j in range(n)
+            ]
+            for i in range(n)
         ]
-        for i in range(n)
-    ]
-    slow = _poly_det_by_minors(entries)
-    assert fast.coeffs == slow.coeffs
+        slow = _poly_det_by_minors(entries)
+        assert fast.coeffs == slow.coeffs
 
 
 def test_pencil_charpoly_zero_a_diagonal_b():
@@ -204,6 +212,93 @@ def test_integer_roots_with_multiplicity():
     p = IntegerPolynomial.from_integer_roots([3, 3, -2])
     roots, rem = integer_roots(p)
     assert roots == [-2, 3, 3] and rem.coeffs == (Fraction(1),)
+
+
+def test_integer_roots_zero_root_with_multiplicity():
+    p = IntegerPolynomial.from_integer_roots([0, 0, 0, -3, 5])
+    assert p.coeffs[0] == 0
+    roots, rem = integer_roots(p)
+    assert roots == [-3, 0, 0, 0, 5] and rem.coeffs == (Fraction(1),)
+
+
+def test_integer_roots_non_monic():
+    roots, rem = integer_roots(IntegerPolynomial((Fraction(-2), Fraction(0), Fraction(2))))
+    assert roots == [-1, 1] and rem.coeffs == (Fraction(2),)
+
+
+def test_integer_roots_rational_coefficients():
+    # (p - 3)(p^2 + 1/3)
+    quadratic = IntegerPolynomial((Fraction(1, 3), Fraction(0), Fraction(1)))
+    p = IntegerPolynomial.monomial(3) * quadratic
+    roots, rem = integer_roots(p)
+    assert roots == [3] and rem.coeffs == quadratic.coeffs
+
+
+def test_integer_roots_constant():
+    for c in (Fraction(1), Fraction(-7, 3)):
+        roots, rem = integer_roots(IntegerPolynomial((c,)))
+        assert roots == [] and rem.coeffs == (c,)
+    with pytest.raises(ValueError):
+        integer_roots(IntegerPolynomial((Fraction(0),)))
+
+
+def test_integer_roots_at_window_ends():
+    # p - k attains the Cauchy bound 1 + |k|, so its window of radius |k| + 2
+    # is the tightest there is: the root is the outermost one a window holds
+    for k in (-11, 11):
+        p = IntegerPolynomial.monomial(k) * Fraction(3)
+        assert _root_bound([int(a) for a in p.coeffs]) == abs(k) + 2
+        assert integer_roots(p) == ([k], IntegerPolynomial((Fraction(3),)))
+    # the extreme roots of a spectrum, each with multiplicity
+    p = IntegerPolynomial.from_integer_roots([-9, -9, 2, 9, 9, 9])
+    assert integer_roots(p) == ([-9, -9, 2, 9, 9, 9], IntegerPolynomial.one())
+
+
+@given(
+    st.lists(st.integers(-12, 12), max_size=6),
+    st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=8), min_size=1, max_size=4
+    ),
+)
+def test_integer_roots_equal_oracle(roots, cofactor):
+    cofactor = IntegerPolynomial(tuple(cofactor))
+    if cofactor.is_zero:
+        return
+    p = IntegerPolynomial.from_integer_roots(roots) * cofactor
+    got = integer_roots(p)
+    assert got == oracles.integer_roots(p)
+    assert not Counter(roots) - Counter(got[0])
+    rebuilt = IntegerPolynomial.from_integer_roots(got[0]) * got[1]
+    assert rebuilt.coeffs == p.coeffs
+
+
+_small_rational = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def _rational_pencils(draw):
+    n = draw(st.integers(1, 5))
+    square = st.lists(st.lists(_small_rational, min_size=n, max_size=n), min_size=n, max_size=n)
+    return draw(square), draw(square)
+
+
+@given(_rational_pencils())
+def test_pencil_charpoly_equals_oracle_on_random_rationals(pencil):
+    A, B = pencil
+    poly = pencil_charpoly_exact(A, B)
+    assert poly == oracles.charpoly(A, B)
+    assert integer_roots(poly) == oracles.integer_roots(poly)
+
+
+def test_exact_binomial_equals_falling_factorial():
+    for x in range(-20, 21):
+        for k in range(-1, 13):
+            got = exact_binomial(x, k)
+            assert type(got) is Fraction and got == oracles.exact_binomial(x, k), (x, k)
+            assert exact_binomial(Fraction(x), k) == got
+    for x in (Fraction(1, 2), Fraction(-7, 3), Fraction(22, 5), Fraction(-1, 9)):
+        for k in range(-1, 13):
+            assert exact_binomial(x, k) == oracles.exact_binomial(x, k), (x, k)
 
 
 def test_exact_binomial_rational_argument():

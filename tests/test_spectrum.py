@@ -8,7 +8,7 @@ from scipy.optimize import linear_sum_assignment
 
 import oracles
 from goldfish.equilibria import cbar_closed_form, expand_iso_psi
-from goldfish.polynomials import IntegerPolynomial, pencil_charpoly_exact
+from goldfish.polynomials import IntegerPolynomial, integer_roots, pencil_charpoly_exact
 from goldfish.spectrum import (
     DEFAULT_NU5_SAMPLES,
     build_pencil,
@@ -55,9 +55,9 @@ def test_pencil_triangular_at_trivial_equilibrium():
                 assert pen.A[i][j] == 0 and pen.B[i][j] == 0
 
 
-def _grid_cbars():
-    """Every pencil the N <= 10 integrality grid builds."""
-    for n in range(1, 11):
+def _grid_cbars(ns=range(1, 11)):
+    """Every pencil the N <= 10 integrality grid builds (for the sizes ``ns``)."""
+    for n in ns:
         for nu in (0, 1, 3, 4, 5):
             for mu in range(nu, n + 1):
                 for c in DEFAULT_NU5_SAMPLES if nu == 5 else (Fraction(0),):
@@ -86,6 +86,30 @@ def test_pencil_equals_oracle_on_grid():
 )
 def test_pencil_equals_oracle_on_random_cbar(cbar):
     assert build_pencil(cbar) == oracles.pencil(cbar)
+
+
+def _assert_exact_kernels_match_oracles(pen):
+    poly = pencil_charpoly_exact(pen.A, pen.B)
+    assert poly == oracles.charpoly(pen.A, pen.B)
+    assert integer_roots(poly) == oracles.integer_roots(poly)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_exact_kernels_equal_oracles_on_grid(n):
+    """The integer charpoly and root scan reproduce the Fraction kernels
+    exactly on every grid pencil of size n, and on each with c_1 shifted
+    by +-1/2 and +-3/2 (whose spectra are not integral)."""
+    for cbar in _grid_cbars([n]):
+        for delta in (0, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2)):
+            cb = (cbar[0] + delta,) + cbar[1:]
+            _assert_exact_kernels_match_oracles(build_pencil(cb))
+
+
+def test_exact_kernels_equal_oracles_on_resonant_branch():
+    for n in (8, 9, 10):
+        for mu in range(8, n + 1):
+            for c in (Fraction(1), Fraction(-3)):
+                _assert_exact_kernels_match_oracles(build_pencil(expand_iso_psi(8, mu, n, c)))
 
 
 # ---------------------------------------------------------------------------
