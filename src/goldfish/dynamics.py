@@ -163,12 +163,6 @@ class ModelSpec:
         a, b, c = self.f_abc()
         return (a * b, b * b + 2 * a * c, 3 * b * c, 2 * c * c)
 
-    def phi_of(self, x: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(np.asarray(x, dtype=complex))
-        for coef in reversed(self.phi_coeffs()):
-            acc = acc * x + coef
-        return acc
-
     def phi_of_matrix(self, U: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(U)
         eye = np.eye(U.shape[0], dtype=complex)
@@ -244,21 +238,56 @@ def _check_distinct(z: np.ndarray):
         )
 
 
-def _pair_sum(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``out_n = sum_{m != n} w_n w_m / (z_n - z_m)``."""
-    diff = z[:, None] - z[None, :]
-    np.fill_diagonal(diff, 1.0)
-    terms = w[None, :] / diff
-    np.fill_diagonal(terms, 0.0)
-    return w * np.sum(terms, axis=1)
+def _particle_acceleration(spec: ModelSpec):
+    """``acc(z, v)``: the particle equations of motion of ``spec``, on raw
+    complex arrays of length ``spec.N`` and with no checks (:func:`eval_rhs`
+    is the checked form).  The constants of ``spec`` are read once."""
+    diag = slice(None, None, spec.N + 1)
 
+    def pair_sum(z, w):
+        # out_n = sum_{m != n} w_n w_m / (z_n - z_m)
+        diff = z[:, None] - z[None, :]
+        diff.flat[diag] = 1.0
+        terms = w[None, :] / diff
+        terms.flat[diag] = 0.0
+        return w * np.sum(terms, axis=1)
 
-def _inverse_cube_sum(z: np.ndarray) -> np.ndarray:
-    diff = z[:, None] - z[None, :]
-    np.fill_diagonal(diff, 1.0)
-    inv = 1.0 / diff ** 3
-    np.fill_diagonal(inv, 0.0)
-    return np.sum(inv, axis=1)
+    if spec.system is System.ISOGOLD:
+
+        def acc(z, v):
+            w = v - 1j * z + z * z
+            return 3j * v + 2 * z * (1 + z * z) + 2 * pair_sum(z, w)
+
+        return acc
+
+    horner = spec.phi_coeffs()[::-1]
+
+    def phi(z):
+        out = np.zeros_like(z)
+        for coef in horner:
+            out = out * z + coef
+        return out
+
+    if spec.system in (System.GOLD, System.GENERAL_GOLD):
+        a, b, c = spec.f_abc()
+
+        def acc(z, v):
+            w = v + (a + b * z + c * z * z)
+            return phi(z) + 2 * pair_sum(z, w)
+
+        return acc
+
+    # RCM / VESELOV: inverse-cube pair force
+    k = 2 * spec.g ** 2
+
+    def acc(z, v):
+        diff = z[:, None] - z[None, :]
+        diff.flat[diag] = 1.0
+        inv = 1.0 / diff ** 3
+        inv.flat[diag] = 0.0
+        return phi(z) - k * np.sum(inv, axis=1)
+
+    return acc
 
 
 def eval_rhs(spec: ModelSpec, state):
@@ -276,14 +305,7 @@ def eval_rhs(spec: ModelSpec, state):
         if z.size != spec.N:
             raise ValueError(f"state has {z.size} particles, spec.N = {spec.N}")
         _check_distinct(z)
-        if spec.system in (System.GOLD, System.GENERAL_GOLD):
-            w = v + spec.f_of(z)
-            return spec.phi_of(z) + 2 * _pair_sum(z, w)
-        if spec.system is System.ISOGOLD:
-            w = v - 1j * z + z * z
-            return 3j * v + 2 * z * (1 + z * z) + 2 * _pair_sum(z, w)
-        # RCM / VESELOV: inverse-cube pair force
-        return spec.phi_of(z) - 2 * spec.g ** 2 * _inverse_cube_sum(z)
+        return _particle_acceleration(spec)(z, v)
 
     if isinstance(state, CoefficientState):
         if spec.system not in _COEFFICIENT:
@@ -505,40 +527,28 @@ def _state_to_vector(state) -> np.ndarray:
 
 
 def _first_order_rhs(spec: ModelSpec, time_path):
-    """First-order complexified vector field, optionally along the trick path."""
-
-    def split(y):
-        half = y.size // 2
-        return y[:half], y[half:]
-
+    """First-order complexified vector field on the flat state of ``spec``
+    (length ``2 N``, or ``2 N^2`` for a matrix flow), optionally along the
+    trick path.  It checks nothing: :func:`simulate` checks the initial
+    state and the integrator checks for collisions at accepted steps."""
+    n = spec.N
     if spec.system in _MATRIX:
-        n = spec.N
+        nn = n * n
 
-        def rhs(t, y):
-            U = y[: n * n].reshape(n, n)
-            V = y[n * n :].reshape(n, n)
-            acc = _matrix_rhs(spec, U, V)
-            out = np.concatenate([V.ravel(), acc.ravel()])
-            if time_path == "trick":
-                out = out * np.exp(1j * t)
-            return out
+        def field(t, y):
+            U = y[:nn].reshape(n, n)
+            V = y[nn:].reshape(n, n)
+            return np.concatenate([V.ravel(), _matrix_rhs(spec, U, V).ravel()])
 
-        return rhs
-
-    if spec.system in _PARTICLE:
-        make_state = lambda q, qd: ParticleState(q, qd)
+    elif spec.system in _PARTICLE:
+        acc = _particle_acceleration(spec)
+        field = lambda t, y: np.concatenate([y[n:], acc(y[:n], y[n:])])
     else:
-        make_state = lambda q, qd: CoefficientState(q, qd)
+        field = lambda t, y: np.concatenate([y[n:], _coefficient_rhs(spec, y[:n], y[n:])])
 
-    def rhs(t, y):
-        q, qd = split(y)
-        acc = eval_rhs(spec, make_state(q, qd))
-        out = np.concatenate([qd, acc])
-        if time_path == "trick":
-            out = out * np.exp(1j * t)
-        return out
-
-    return rhs
+    if time_path == "trick":
+        return lambda t, y: field(t, y) * np.exp(1j * t)
+    return field
 
 
 def _closed_form_rcm(spec: ModelSpec, init: MatrixFlowState):
@@ -590,32 +600,41 @@ def _matrix_companion(spec: ModelSpec) -> ModelSpec:
 def _spectral_frames(sampler, t_samples, max_refine=4000):
     """Eigenvalue branches over ``t_samples``, refining on ambiguity.
 
-    Extra frames are inserted between ambiguous neighbours (the dense
-    matrix solution makes them cheap) until the min-cost matching is
+    The requested times are walked left to right, matching the current
+    frame against the next one only.  An ambiguous matching pushes the
+    midpoint of its interval onto a stack, to be matched first (the dense
+    matrix solution makes extra frames cheap), until every matching is
     provably unambiguous; only the requested times are reported.
     """
+
+    def frame(t):
+        return eigenvalues(sampler(t)[0])
+
     times = [float(t) for t in t_samples]
-    requested = set(times)
-    frames = {t: eigenvalues(sampler(t)[0]) for t in times}
+    lo = times[0]
+    current = frame(lo)
+    columns = [current]
+    monodromy = tuple(range(current.size))
+    walked = 0  # frames passed so far, requested and inserted
     inserted = 0
-    while True:
-        ts = sorted(frames)
-        try:
-            tracked = track_trajectories([frames[t] for t in ts], ts)
-        except AmbiguousTrackingError as exc:
-            if inserted >= max_refine:
-                raise
-            lo, hi = ts[exc.index], ts[exc.index + 1]
-            mid = 0.5 * (lo + hi)
-            if mid in frames or hi - lo < 1e-12:
-                raise
-            frames[mid] = eigenvalues(sampler(mid)[0])
-            inserted += 1
-            continue
-        keep = [j for j, t in enumerate(ts) if t in requested]
-        return TrackedPaths(
-            np.asarray(times), tracked.paths[:, keep], tracked.monodromy
-        )
+    for t in times[1:]:
+        pending = [(t, frame(t))]
+        while pending:
+            hi, new = pending[-1]
+            try:
+                step = track_trajectories([current, new], [lo, hi])
+            except AmbiguousTrackingError as exc:
+                mid = 0.5 * (lo + hi)
+                if inserted >= max_refine or mid in (lo, hi) or hi - lo < 1e-12:
+                    raise AmbiguousTrackingError(walked, exc.displacement, exc.gap) from None
+                pending.append((mid, frame(mid)))
+                inserted += 1
+                continue
+            pending.pop()
+            lo, current, monodromy = hi, step.paths[:, 1], step.monodromy
+            walked += 1
+        columns.append(current)
+    return TrackedPaths(np.asarray(times), np.column_stack(columns), monodromy)
 
 
 def _eigen_velocities(U: np.ndarray, Udot: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -660,13 +679,23 @@ def simulate(
         raise ValueError("t_samples must be a non-empty 1-d array")
 
     if method == "direct":
-        rhs = _first_order_rhs(spec, time_path)
         y0 = _state_to_vector(state0)
+        n = spec.N
+        size = 2 * n * n if spec.system in _MATRIX else 2 * n
+        if y0.size != size:
+            raise ValueError(
+                f"state has {y0.size} components, {spec.system.value} with N = {n} needs {size}"
+            )
         t0, t1 = float(t_samples[0]), float(t_samples[-1])
         if t1 == t0:
             traj = Trajectory(t_samples, np.array([y0]))
         else:
-            traj = integrate_ode(rhs, y0, (t0, t1), tol=tol, t_eval=t_samples)
+            on_step = None
+            if spec.system in _PARTICLE:
+                _check_distinct(y0[:n])
+                on_step = lambda t, y: _check_distinct(y[:n])
+            rhs = _first_order_rhs(spec, time_path)
+            traj = integrate_ode(rhs, y0, (t0, t1), tol=tol, t_eval=t_samples, on_step=on_step)
         return SimulationResult(spec, method, traj)
 
     if method != "spectral":

@@ -115,7 +115,7 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def integrate_ode(rhs, y0, t_span, tol=1e-10, t_eval=None, return_dense=False):
+def integrate_ode(rhs, y0, t_span, tol=1e-10, t_eval=None, return_dense=False, on_step=None):
     """Integrate ``dy/dt = rhs(t, y)`` over a complexified state.
 
     A thin wrapper over scipy's ``solve_ivp(method="DOP853")``, the
@@ -129,6 +129,11 @@ def integrate_ode(rhs, y0, t_span, tol=1e-10, t_eval=None, return_dense=False):
     raises no scipy warning; below ``100 eps sqrt(n)`` the componentwise
     bound is ``100 eps sqrt(n) (1 + |y|)`` instead.
 
+    ``rhs`` is called as given, with no checks of its own: it is checked
+    once, on the initial state.  The interpolant (three extra ``rhs``
+    evaluations per step) is built only for the steps that contain a
+    sample, unless ``return_dense`` asks for it on every step.
+
     Parameters
     ----------
     rhs : callable
@@ -140,18 +145,22 @@ def integrate_ode(rhs, y0, t_span, tol=1e-10, t_eval=None, return_dense=False):
     tol : float
         Local error tolerance, in ``[1e-14, 1e-4]``.
     t_eval : array_like of float, optional
-        Sample times (must lie inside ``t_span``); defaults to the
+        Increasing sample times inside ``t_span``; defaults to the
         accepted step points.
     return_dense : bool
         Also return the dense interpolant ``t -> y(t)`` (used internally
         for eigenvalue path refinement); it raises ``ValueError`` for
         ``t`` outside ``t_span`` rather than extrapolating.
+    on_step : callable, optional
+        ``on_step(t, y)``, called on the initial state and after every
+        accepted step (never at a stage point); an exception it raises
+        ends the integration and propagates unchanged.
 
     Raises
     ------
     MovableSingularityError
         On step-size underflow (the hallmark of a movable pole); carries
-        the last reliable time.
+        the last accepted step time.
     """
     from scipy.integrate import solve_ivp
 
@@ -170,26 +179,37 @@ def integrate_ode(rhs, y0, t_span, tol=1e-10, t_eval=None, return_dense=False):
     if f.shape != y.shape or not np.all(np.isfinite(f.view(float))):
         raise ValueError("rhs is not finite on the initial state")
 
+    # solve_ivp calls every event function on the initial state and after
+    # each accepted step; this one never changes sign, so no root-finding
+    # runs, and it keeps the last accepted time, which ``sol.t`` does not
+    # hold when it holds only the samples
+    last_time = [t0]
+
+    def step_hook(t, y):
+        last_time[0] = t
+        if on_step is not None:
+            on_step(t, y)
+        return 1.0
+
     scaled = max(tol / np.sqrt(y.size), 100 * np.finfo(float).eps)
     sol = solve_ivp(
-        rhs, (t0, t1), y, method="DOP853", dense_output=True, rtol=scaled, atol=scaled
+        rhs, (t0, t1), y, method="DOP853", t_eval=t_eval, dense_output=return_dense,
+        events=step_hook, rtol=scaled, atol=scaled,
     )
     if sol.status == -1:
-        raise MovableSingularityError(float(sol.t[-1]))
+        raise MovableSingularityError(float(last_time[0]))
+
+    # C order, so that a row's values and velocities can be viewed as float
+    traj = Trajectory(sol.t, np.ascontiguousarray(np.transpose(sol.y)))
+    if not return_dense:
+        return traj
 
     def dense(t):
         if np.any(np.less(t, t0)) or np.any(np.greater(t, t1)):
             raise ValueError(f"t = {t} outside integrated range [{t0}, {t1}]")
         return sol.sol(t)
 
-    if t_eval is None:
-        traj = Trajectory(sol.t, sol.y.T)
-    else:
-        te = np.asarray(t_eval, dtype=float)
-        traj = Trajectory(te, dense(te).T)
-    if return_dense:
-        return traj, dense
-    return traj
+    return traj, dense
 
 
 @dataclass(frozen=True)

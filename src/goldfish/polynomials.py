@@ -336,10 +336,12 @@ class IntegerPolynomial:
 
     @staticmethod
     def from_integer_roots(roots) -> "IntegerPolynomial":
-        acc = IntegerPolynomial.one()
+        """``prod (p - r)`` over ``roots``, expanded in ``int`` by synthetic
+        multiplication; ``Fraction`` coefficients are built once, at the end."""
+        c = [1]
         for r in roots:
-            acc = acc * IntegerPolynomial.monomial(r)
-        return acc
+            c = [-r * c[0], *(c[k - 1] - r * c[k] for k in range(1, len(c))), c[-1]]
+        return IntegerPolynomial(tuple(c))
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:

@@ -208,43 +208,28 @@ def conjecture_215_product(nu: int, mu: int, N: int) -> IntegerPolynomial:
     """The conjectured exact factorisation of the pencil's characteristic
     polynomial for integer ``mu``, expanded exactly (empty products are
     one)."""
-    lin = IntegerPolynomial.monomial
-    acc = IntegerPolynomial.one()
     if nu == 0:
-        for n in range(1, N - mu + 1):
-            acc = acc * lin(n) * lin(n + 1)
-        for n in range(1, mu + 1):
-            acc = acc * lin(-n) * lin(5 - n)
+        roots = [r for n in range(1, N - mu + 1) for r in (n, n + 1)]
+        roots += [r for n in range(1, mu + 1) for r in (-n, 5 - n)]
     elif nu == 1:
-        acc = acc * lin(-1) * lin(4)
-        for n in range(1, N - mu + 1):
-            acc = acc * lin(n) * lin(n + 5)
-        for n in range(1, mu):
-            acc = acc * lin(-n) * lin(7 - n)
+        roots = [-1, 4]
+        roots += [r for n in range(1, N - mu + 1) for r in (n, n + 5)]
+        roots += [r for n in range(1, mu) for r in (-n, 7 - n)]
     elif nu == 3:
-        acc = acc * lin(-1) * lin(4)
-        for n in range(1, N - mu + 1):
-            acc = acc * lin(n) * lin(n - 5)
-        for n in range(1, mu):
-            acc = acc * lin(-n) * lin(n - mu + 7)
+        roots = [-1, 4]
+        roots += [r for n in range(1, N - mu + 1) for r in (n, n - 5)]
+        roots += [r for n in range(1, mu) for r in (-n, n - mu + 7)]
     elif nu == 4:
-        acc = acc * lin(-1)
-        for n in range(1, 4):
-            acc = acc * lin(n + 1)
-        for n in range(1, N - mu + 1):
-            acc = acc * lin(n) * lin(n - 1)
-        for n in range(1, mu - 3):
-            acc = acc * lin(-n)
-        for n in range(1, mu + 1):
-            acc = acc * lin(-n - 1)
+        roots = [-1] + [n + 1 for n in range(1, 4)]
+        roots += [r for n in range(1, N - mu + 1) for r in (n, n - 1)]
+        roots += [-n for n in range(1, mu - 3)]
+        roots += [-n - 1 for n in range(1, mu + 1)]
     elif nu == 5:
-        for n in range(1, N - mu + 1):
-            acc = acc * lin(n) * lin(n + 1)
-        for n in range(1, mu + 1):
-            acc = acc * lin(-n) * lin(n - mu + 4)
+        roots = [r for n in range(1, N - mu + 1) for r in (n, n + 1)]
+        roots += [r for n in range(1, mu + 1) for r in (-n, n - mu + 4)]
     else:
         raise ValueError(f"no conjectured product for nu = {nu}")
-    return acc
+    return IntegerPolynomial.from_integer_roots(roots)
 
 
 def conjecture_217_claim(nu: int, mu, N: int):

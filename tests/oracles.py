@@ -9,8 +9,15 @@ oracle for every derived consumer.
 The exact spectral kernels are kept here in their ``Fraction`` form (a
 rational matrix per determinant node, one rational Lagrange basis at a
 time, a root scan that restarts after every root, a falling-factorial
-binomial): the library runs the same computations on plain integers and
+binomial, the conjectured product as a chain of ``Fraction`` polynomial
+products): the library runs the same computations on plain integers and
 must reproduce these results exactly.
+
+The simulation path is kept here in its per-state form (particle
+accelerations read the spec's constants on every call, eigenvalue paths
+are tracked again over the whole frame list after every inserted
+midpoint): the library's compiled right-hand side and its local
+refinement must reproduce these results bit for bit.
 """
 
 import math
@@ -19,9 +26,74 @@ from fractions import Fraction
 import numpy as np
 
 from goldfish.dynamics import System
+from goldfish.linalg import AmbiguousTrackingError, TrackedPaths, eigenvalues, track_trajectories
 from goldfish.equilibria import Family
 from goldfish.polynomials import IntegerPolynomial
 from goldfish.spectrum import QuadraticPencil
+
+
+def _pair_sum(z, w):
+    """``out_n = sum_{m != n} w_n w_m / (z_n - z_m)``."""
+    diff = z[:, None] - z[None, :]
+    np.fill_diagonal(diff, 1.0)
+    terms = w[None, :] / diff
+    np.fill_diagonal(terms, 0.0)
+    return w * np.sum(terms, axis=1)
+
+
+def _inverse_cube_sum(z):
+    diff = z[:, None] - z[None, :]
+    np.fill_diagonal(diff, 1.0)
+    inv = 1.0 / diff ** 3
+    np.fill_diagonal(inv, 0.0)
+    return np.sum(inv, axis=1)
+
+
+def _phi_of(spec, x):
+    acc = np.zeros_like(np.asarray(x, dtype=complex))
+    for coef in reversed(spec.phi_coeffs()):
+        acc = acc * x + coef
+    return acc
+
+
+def particle_rhs(spec, z, v):
+    """Accelerations ``zddot_1..zddot_N`` of the particle systems."""
+    z = np.asarray(z, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    if spec.system in (System.GOLD, System.GENERAL_GOLD):
+        w = v + spec.f_of(z)
+        return _phi_of(spec, z) + 2 * _pair_sum(z, w)
+    if spec.system is System.ISOGOLD:
+        w = v - 1j * z + z * z
+        return 3j * v + 2 * z * (1 + z * z) + 2 * _pair_sum(z, w)
+    # RCM / VESELOV: inverse-cube pair force
+    return _phi_of(spec, z) - 2 * spec.g ** 2 * _inverse_cube_sum(z)
+
+
+def spectral_frames(sampler, t_samples, max_refine=4000):
+    """Eigenvalue branches over ``t_samples``: after every midpoint
+    inserted between ambiguous neighbours, the whole frame list is
+    tracked again from the start."""
+    times = [float(t) for t in t_samples]
+    requested = set(times)
+    frames = {t: eigenvalues(sampler(t)[0]) for t in times}
+    inserted = 0
+    while True:
+        ts = sorted(frames)
+        try:
+            tracked = track_trajectories([frames[t] for t in ts], ts)
+        except AmbiguousTrackingError as exc:
+            if inserted >= max_refine:
+                raise
+            lo, hi = ts[exc.index], ts[exc.index + 1]
+            mid = 0.5 * (lo + hi)
+            if mid in frames or hi - lo < 1e-12:
+                raise
+            frames[mid] = eigenvalues(sampler(mid)[0])
+            inserted += 1
+            continue
+        keep = [j for j, t in enumerate(ts) if t in requested]
+        return TrackedPaths(np.asarray(times), tracked.paths[:, keep], tracked.monodromy)
 
 
 def coefficient_rhs(spec, c, cdot):
@@ -306,3 +378,45 @@ def integer_roots(q: IntegerPolynomial):
             roots.append(found)
             rem = rem.deflate(found)
     return sorted(roots), rem
+
+
+def conjecture_215_product(nu: int, mu: int, N: int) -> IntegerPolynomial:
+    """The conjectured product, one ``Fraction`` polynomial product per
+    linear factor (empty products are one)."""
+    lin = IntegerPolynomial.monomial
+    acc = IntegerPolynomial.one()
+    if nu == 0:
+        for n in range(1, N - mu + 1):
+            acc = acc * lin(n) * lin(n + 1)
+        for n in range(1, mu + 1):
+            acc = acc * lin(-n) * lin(5 - n)
+    elif nu == 1:
+        acc = acc * lin(-1) * lin(4)
+        for n in range(1, N - mu + 1):
+            acc = acc * lin(n) * lin(n + 5)
+        for n in range(1, mu):
+            acc = acc * lin(-n) * lin(7 - n)
+    elif nu == 3:
+        acc = acc * lin(-1) * lin(4)
+        for n in range(1, N - mu + 1):
+            acc = acc * lin(n) * lin(n - 5)
+        for n in range(1, mu):
+            acc = acc * lin(-n) * lin(n - mu + 7)
+    elif nu == 4:
+        acc = acc * lin(-1)
+        for n in range(1, 4):
+            acc = acc * lin(n + 1)
+        for n in range(1, N - mu + 1):
+            acc = acc * lin(n) * lin(n - 1)
+        for n in range(1, mu - 3):
+            acc = acc * lin(-n)
+        for n in range(1, mu + 1):
+            acc = acc * lin(-n - 1)
+    elif nu == 5:
+        for n in range(1, N - mu + 1):
+            acc = acc * lin(n) * lin(n + 1)
+        for n in range(1, mu + 1):
+            acc = acc * lin(-n) * lin(n - mu + 4)
+    else:
+        raise ValueError(f"no conjectured product for nu = {nu}")
+    return acc

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import oracles
+from goldfish import dynamics
 from goldfish.dynamics import (
     CoefficientState,
     CollisionError,
@@ -29,7 +30,7 @@ from goldfish.dynamics import (
     trick_transform,
     trick_transform_state,
 )
-from goldfish.linalg import Trajectory, eigenvalues, permutation_order
+from goldfish.linalg import AmbiguousTrackingError, Trajectory, eigenvalues, permutation_order
 
 
 def multiset_dev(a, b):
@@ -40,6 +41,12 @@ def multiset_dev(a, b):
 
 def trajectory_multiset_dev(r1, r2):
     return max(multiset_dev(a, b) for a, b in zip(r1.values, r2.values))
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bit patterns, element by element."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def random_state(rng, n, scale=0.4):
@@ -78,10 +85,22 @@ def test_rhs_collision_detected():
         eval_rhs(spec, ParticleState([1.0, 1.0 + 1e-12], [0.0, 0.0]))
 
 
+def test_simulate_collision_at_accepted_step():
+    # free particles (no force, g = 0) meet within the threshold exactly at
+    # the final accepted step t = 1
+    spec = ModelSpec(System.VESELOV, 2, phi_poly=(0.0,))
+    state = ParticleState([0.0, 1.0 + 5e-11], [1.0, 0.0])
+    with pytest.raises(CollisionError):
+        simulate(spec, state, np.linspace(0.0, 1.0, 5))
+
+
 def test_rhs_shape_mismatch():
     spec = ModelSpec(System.GOLD, 3)
     with pytest.raises(ValueError):
         eval_rhs(spec, ParticleState([1.0, 2.0], [0.0, 0.0]))
+    # the compiled field does not check sizes, so simulate must
+    with pytest.raises(ValueError):
+        simulate(ModelSpec(System.GOLD, 1), ParticleState([1.0, 2.0], [0.0, 0.0]), [0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +474,83 @@ def test_coefficient_rhs_bit_identical_to_oracle():
                 got = eval_rhs(spec, CoefficientState(c, cd))
                 want = oracles.coefficient_rhs(spec, c, cd)
                 assert np.array_equal(got.view(float), want.view(float)), (system, n)
+
+
+def _random_particle_spec(rng, system, n):
+    def draw():
+        return complex(*rng.standard_normal(2))
+
+    if system is System.GOLD:
+        return ModelSpec(system, n, a2=draw() if rng.random() < 0.5 else 0.0)
+    if system is System.GENERAL_GOLD:
+        return ModelSpec(system, n, alpha=draw(), beta=draw(), gamma=draw())
+    if system is System.RCM:
+        return ModelSpec(system, n, g=draw())
+    if system is System.VESELOV:
+        return ModelSpec(system, n, g=draw(), phi_poly=tuple(draw() for _ in range(4)))
+    return ModelSpec(system, n)
+
+
+@pytest.mark.parametrize("time_path", [None, "trick"])
+def test_compiled_rhs_bit_identical_to_oracle(time_path):
+    """The first-order field the integrator runs, and the checked eval_rhs,
+    equal the per-state particle path bit for bit."""
+    rng = np.random.default_rng(27)
+    systems = (System.GOLD, System.GENERAL_GOLD, System.ISOGOLD, System.RCM, System.VESELOV)
+    for _ in range(40):
+        for n in range(1, 7):
+            for system in systems:
+                spec = _random_particle_spec(rng, system, n)
+                state = random_state(rng, n, scale=1.0)
+                z, v = state.z, state.zdot
+                t = float(rng.uniform(0.0, 7.0))
+                want = oracles.particle_rhs(spec, z, v)
+                assert same_bits(eval_rhs(spec, state), want), (system, n)
+                got = dynamics._first_order_rhs(spec, time_path)(t, np.concatenate([z, v]))
+                field = np.concatenate([v, want])
+                if time_path == "trick":
+                    field = field * np.exp(1j * t)
+                assert same_bits(got, field), (system, n)
+
+
+def test_spectral_frames_equal_oracle():
+    """Local refinement makes the same matches, inserts the same frames
+    and gives up on the same interval as tracking the whole frame list
+    again after every inserted midpoint."""
+    rng = np.random.default_rng(28)
+    t = np.linspace(0.0, 1.0, 21)
+    inserted = refused = 0
+    for k in range(12):
+        n = (2, 3, 4)[k % 3]
+        spec = ModelSpec(System.GOLD, n, a2=(0.0, -1.0, 1 + 1j)[k % 3])
+        init = build_matrix_initial_data(spec, random_state(rng, n, scale=1.0))
+        sampler = dynamics._matrix_flow_sampler(spec, init, t, 1e-11)
+        runs = []
+        for frames in (dynamics._spectral_frames, oracles.spectral_frames):
+            calls = []
+
+            def counted(s):
+                calls.append(s)
+                return sampler(s)
+
+            runs.append((frames(counted, t), calls))
+        (got, got_calls), (want, want_calls) = runs
+        assert same_bits(got.times, want.times)
+        assert same_bits(got.paths, want.paths)
+        assert got.monodromy == want.monodromy
+        assert sorted(got_calls) == sorted(want_calls)
+        inserted += len(got_calls) - t.size
+        for max_refine in (1, 3):
+            errors = []
+            for frames in (dynamics._spectral_frames, oracles.spectral_frames):
+                try:
+                    frames(sampler, t, max_refine=max_refine)
+                    errors.append(None)
+                except AmbiguousTrackingError as exc:
+                    errors.append((exc.index, exc.displacement, exc.gap))
+            assert errors[0] == errors[1]
+            refused += errors[0] is not None
+    assert inserted > 0 and refused > 0
 
 
 def test_structural_dispatcher():

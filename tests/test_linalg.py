@@ -142,10 +142,44 @@ def test_integrator_tightest_tolerance_is_silent():
 
 
 def test_integrator_detects_movable_pole():
-    # ydot = y^2 from y(0) = 1 blows up at t = 1
-    with pytest.raises(MovableSingularityError) as info:
-        integrate_ode(lambda t, y: y * y, np.array([1.0 + 0j]), (0.0, 2.0), tol=1e-10)
-    assert abs(info.value.last_time - 1.0) < 1e-3
+    # ydot = y^2 from y(0) = 1 blows up at t = 1; with a sample grid the
+    # last sample before the pole (t = 6/7) is not the last step time
+    for t_eval in (None, np.linspace(0.0, 2.0, 8)):
+        with pytest.raises(MovableSingularityError) as info:
+            integrate_ode(
+                lambda t, y: y * y, np.array([1.0 + 0j]), (0.0, 2.0), tol=1e-10, t_eval=t_eval
+            )
+        assert abs(info.value.last_time - 1.0) < 1e-3
+
+
+def test_integrator_on_step_sees_accepted_steps_only():
+    rhs_times, seen = [], []
+
+    def rhs(t, y):
+        rhs_times.append(t)
+        return 1j * y
+
+    def on_step(t, y):
+        seen.append((t, y.copy()))
+
+    traj = integrate_ode(rhs, np.array([1.0 + 0j]), (0.0, 2 * np.pi), tol=1e-10, on_step=on_step)
+    # without t_eval the trajectory holds t0 and every accepted step point
+    assert [t for t, _ in seen] == list(traj.times)
+    assert np.array_equal(np.array([y for _, y in seen]), traj.states)
+    assert set(rhs_times) - set(traj.times)  # stage points were never shown
+
+    class Refused(Exception):
+        pass
+
+    refusal = Refused()
+
+    def refuse(t, y):
+        if t > 1.0:
+            raise refusal
+
+    with pytest.raises(Refused) as info:
+        integrate_ode(rhs, np.array([1.0 + 0j]), (0.0, 2 * np.pi), tol=1e-10, on_step=refuse)
+    assert info.value is refusal
 
 
 def test_trajectory_validation():

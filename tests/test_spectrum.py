@@ -261,6 +261,14 @@ def test_c217_claim_lists():
         conjecture_217_claim(1, Fraction(1, 2), 6)  # needs N >= 8
 
 
+def test_c215_product_equals_oracle_on_grid():
+    for n in range(1, 11):
+        for nu in (0, 1, 3, 4, 5):
+            for mu in range(nu, n + 1):
+                got = conjecture_215_product(nu, mu, n)
+                assert got == oracles.conjecture_215_product(nu, mu, n), (nu, mu, n)
+
+
 def test_conjecture_product_degrees():
     for nu, mu, n in ((0, 3, 5), (1, 2, 4), (3, 5, 6), (4, 4, 5), (5, 5, 5)):
         assert conjecture_215_product(nu, mu, n).degree == 2 * n
