@@ -20,9 +20,7 @@ from .dynamics import (
     build_matrix_initial_data,
     detect_period,
     eval_rhs,
-    pde_residual,
     simulate,
-    structural_residuals,
     trick_transform,
 )
 from .equilibria import (

@@ -31,6 +31,7 @@ from .linalg import (
     AmbiguousTrackingError,
     TrackedPaths,
     Trajectory,
+    _match_step,
     eigenvalues,
     integrate_ode,
     track_trajectories,
@@ -41,6 +42,7 @@ from .polynomials import (
     MonicPolynomial,
     coeff_velocities,
     find_roots,
+    from_roots,
 )
 
 __all__ = [
@@ -57,16 +59,9 @@ __all__ = [
     "detect_period",
     "eigenvalue_paths",
     "eval_rhs",
-    "pde_residual",
-    "residual_ansatz_offdiag",
-    "residual_boundary_row",
     "residual_coupling_identity",
-    "residual_quartic_n2",
     "residual_rank_one",
-    "residual_velocity_diagonal",
     "simulate",
-    "structural_residuals",
-    "trick_tau",
     "trick_transform",
     "trick_transform_state",
 ]
@@ -417,54 +412,35 @@ def build_matrix_initial_data(spec: ModelSpec, state0: ParticleState) -> MatrixF
 # the exponential time substitution ("the trick")
 
 
-def trick_tau(t):
-    """The complex time path ``tau(t) = i (1 - exp(i t))``."""
-    return 1j * (1.0 - np.exp(1j * np.asarray(t)))
-
-
-def _trick_factors(kind: str, t: float, n: int):
-    if kind in ("particle", "matrix"):
-        phase = np.exp(1j * t)
-        return phase, phase  # value factor, and extra phase for the velocity chain
-    if kind == "coefficient":
-        m = np.arange(1, n + 1)
-        return (-1j) ** m * np.exp(1j * m * t), np.exp(1j * t)
-    raise ValueError(f"unknown trick kind {kind!r}")
-
-
 def trick_transform_state(direction: str, values, velocities, kind: str, t: float = 0.0):
     """Map one ``(value, velocity)`` pair between the two time worlds.
 
     ``FORWARD`` takes a solution of the rational-time system, sampled on
-    the path ``tau(t)``, to the isochronous system at real time ``t``;
-    ``BACKWARD`` inverts it.  Velocities transform through the chain rule
-    with ``dtau/dt = exp(i t)``.
+    the path ``tau(t) = i (1 - exp(i t))``, to the isochronous system at
+    real time ``t``; ``BACKWARD`` inverts it.  A value of weight ``m``
+    gains the factor ``exp(i m t)``: ``m = 1`` for positions and matrices,
+    ``m = 1..N`` for coefficients, which also gain the ``(-i)^m`` of the
+    TILDE convention.  Velocities transform through the chain rule with
+    ``dtau/dt = exp(i t)``.
     """
     q = np.asarray(values, dtype=complex)
     qd = np.asarray(velocities, dtype=complex)
     if q.shape != qd.shape:
         raise ValueError("values and velocities must have equal shapes")
-    n = q.shape[0]
-    fac, phase = _trick_factors(kind, t, n)
     if kind == "coefficient":
-        m = np.arange(1, n + 1)
-        if direction == "forward":
-            val = fac * q
-            vel = 1j * m * val + fac * phase * qd
-            return val, vel
-        if direction == "backward":
-            gq = q / fac
-            gqd = (qd - 1j * m * q) / (fac * phase)
-            return gq, gqd
+        m = np.arange(1, q.shape[0] + 1)
+        fac = (-1j) ** m * np.exp(1j * m * t)
+    elif kind in ("particle", "matrix"):
+        m = 1
+        fac = np.exp(1j * t)
     else:
-        if direction == "forward":
-            val = fac * q
-            vel = 1j * val + fac * phase * qd
-            return val, vel
-        if direction == "backward":
-            gq = q / fac
-            gqd = (qd - 1j * q) / (fac * phase)
-            return gq, gqd
+        raise ValueError(f"unknown trick kind {kind!r}")
+    phase = np.exp(1j * t)
+    if direction == "forward":
+        val = fac * q
+        return val, 1j * m * val + fac * phase * qd
+    if direction == "backward":
+        return q / fac, (qd - 1j * m * q) / (fac * phase)
     raise ValueError(f"unknown direction {direction!r}")
 
 
@@ -614,7 +590,7 @@ def _spectral_frames(sampler, t_samples, max_refine=4000):
     lo = times[0]
     current = frame(lo)
     columns = [current]
-    monodromy = tuple(range(current.size))
+    perm = np.arange(current.size)
     walked = 0  # frames passed so far, requested and inserted
     inserted = 0
     for t in times[1:]:
@@ -622,18 +598,20 @@ def _spectral_frames(sampler, t_samples, max_refine=4000):
         while pending:
             hi, new = pending[-1]
             try:
-                step = track_trajectories([current, new], [lo, hi])
-            except AmbiguousTrackingError as exc:
+                perm = _match_step(current, new, walked)
+            except AmbiguousTrackingError:
                 mid = 0.5 * (lo + hi)
                 if inserted >= max_refine or mid in (lo, hi) or hi - lo < 1e-12:
-                    raise AmbiguousTrackingError(walked, exc.displacement, exc.gap) from None
+                    raise
                 pending.append((mid, frame(mid)))
                 inserted += 1
                 continue
             pending.pop()
-            lo, current, monodromy = hi, step.paths[:, 1], step.monodromy
+            lo, current = hi, new[perm]
             walked += 1
         columns.append(current)
+    # perm is indexed by branch, so the last one is the monodromy
+    monodromy = tuple(int(p) for p in perm)
     return TrackedPaths(np.asarray(times), np.column_stack(columns), monodromy)
 
 
@@ -737,8 +715,7 @@ def simulate(
         zdot = _eigen_velocities(U, Udot, order)
         if spec.system in _COEFFICIENT:
             conv = TILDE if spec.system is System.ALTISOGOLD else PLAIN
-            plain = np.atleast_1d(np.poly(order)).astype(complex)
-            cvals = conv.strip(plain)[1:]
+            cvals = from_roots(order, conv).coeffs[1:]
             cdots = coeff_velocities(order, zdot, conv)
             rows.append(np.concatenate([cvals, cdots]))
         else:
@@ -841,153 +818,7 @@ def detect_period(
 
 
 # ---------------------------------------------------------------------------
-# polynomial-form residual of the coefficient dynamics
-
-
-def pde_residual(traj: Trajectory, spec: ModelSpec, z_samples) -> float:
-    """Max residual of the generating-polynomial evolution equation.
-
-    The sampled coefficient trajectory defines the monic polynomial
-    ``psi(z, t)``; its z-derivatives are analytic, the first time
-    derivative comes from the sampled velocities, and the second uses a
-    centered five-point difference, so only interior samples contribute.
-    """
-    if spec.system not in (System.ALTGOLD, System.ALTISOGOLD, System.GAMMATAU):
-        raise ValueError("pde_residual applies to the coefficient systems")
-    N = spec.N
-    times = traj.times
-    c = traj.states[:, :N]
-    cdot = traj.states[:, N:]
-    z_samples = np.asarray(z_samples, dtype=complex)
-    if times.size >= 5:
-        h = times[1] - times[0]
-        if np.max(np.abs(np.diff(times) - h)) > 1e-9 * max(1.0, abs(h)):
-            raise ValueError("pde_residual requires uniform sampling")
-        interior = range(2, times.size - 2)
-        cddot = {
-            j: (-c[j - 2] + 16 * c[j - 1] - 30 * c[j] + 16 * c[j + 1] - c[j + 2]) / (12 * h * h)
-            for j in interior
-        }
-    else:
-        # constant (equilibrium) input: all time derivatives vanish
-        interior = range(times.size)
-        cddot = {j: np.zeros(N, dtype=complex) for j in interior}
-
-    powers = np.arange(N, -1, -1)
-
-    def poly_eval(coeffs_full, z):
-        return sum(coeffs_full[m] * z ** powers[m] for m in range(N + 1))
-
-    worst = 0.0
-    tilde = spec.system is System.ALTISOGOLD
-    im = 1j ** np.arange(N + 1)
-    for j in interior:
-        c_full = np.concatenate([[1.0 + 0j], c[j]])
-        cd_full = np.concatenate([[0.0 + 0j], cdot[j]])
-        cdd_full = np.concatenate([[0.0 + 0j], cddot[j]])
-        if tilde:
-            pc, pcd, pcdd = im * c_full, im * cd_full, im * cdd_full
-        else:
-            pc, pcd, pcdd = c_full, cd_full, cdd_full
-        c1, c2 = c[j][0], (c[j][1] if N >= 2 else 0.0)
-        c1d = cdot[j][0]
-        for z in z_samples:
-            psi = poly_eval(pc, z)
-            psi_t = poly_eval(pcd, z)
-            psi_tt = poly_eval(pcdd, z)
-            psi_z = sum(pc[m] * (N - m) * z ** (N - m - 1) for m in range(N))
-            psi_zz = sum(
-                pc[m] * (N - m) * (N - m - 1) * z ** (N - m - 2) for m in range(N - 1)
-            )
-            psi_tz = sum(pcd[m] * (N - m) * z ** (N - m - 1) for m in range(N))
-            if not tilde:
-                a2 = spec.a2
-                r = (
-                    psi_tt
-                    - 2 * (z * z - a2) * psi_tz
-                    + 2 * ((N - 2) * z - c1) * psi_t
-                    + (z * z - a2) ** 2 * psi_zz
-                    - 2 * ((N - 3) * z - c1) * (z * z - a2) * psi_z
-                    + (
-                        N * (N - 5) * z * z
-                        - 2 * (N - 2) * c1 * z
-                        + 2 * (2 * N * a2 + c1d - c1 ** 2 + 3 * c2)
-                    )
-                    * psi
-                )
-            else:
-                r = (
-                    psi_tt
-                    - 2 * z * (z - 1j) * psi_tz
-                    + (2 * (N - 2) * z - (2 * N + 1) * 1j - 2j * c1) * psi_t
-                    + z * z * (z - 1j) ** 2 * psi_zz
-                    - 2 * z * (z - 1j) * (N * (z - 1j) - 3 * z - 1j * c1) * psi_z
-                    + (
-                        N * (N - 5) * z * z
-                        - 2 * N * (N - 2) * 1j * z
-                        - N * (N + 1)
-                        - 2 * (N - 2) * 1j * c1 * z
-                        - 2 * (N - 1) * c1
-                        + 2 * (1j * c1d + c1 ** 2 - 3 * c2)
-                    )
-                    * psi
-                )
-            worst = max(worst, abs(r))
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# structural residual checks
-
-
-@dataclass(frozen=True)
-class StructuralReport:
-    kind: str
-    max_abs: float
-
-
-def residual_quartic_n2(traj: Trajectory, a2: complex) -> float:
-    """Residual of the fourth-order scalar ODE obeyed by the leading
-    coefficient of the two-body coefficient system.
-
-    The higher time derivatives of ``c_1`` are produced by chaining the
-    equations of motion, so the check is free of finite-difference noise.
-    """
-    worst = 0.0
-    for row in traj.states:
-        c1, c2, c1d, c2d = row[0], row[1], row[2], row[3]
-        c1dd = 2 * c1 ** 3 - 6 * c1 * c2 - 2 * a2 * c1
-        c2dd = (
-            2 * c1 * c2d
-            - 2 * a2 * c1d
-            - 2 * (4 * a2 + c1d - c1 ** 2 + 3 * c2) * c2
-            + 2 * a2 * c1 ** 2
-            - 2 * a2 ** 2
-        )
-        c1d3 = 6 * c1 ** 2 * c1d - 6 * c1d * c2 - 6 * c1 * c2d - 2 * a2 * c1d
-        c1d4 = (
-            12 * c1 * c1d ** 2
-            + 6 * c1 ** 2 * c1dd
-            - 6 * c1dd * c2
-            - 12 * c1d * c2d
-            - 6 * c1 * c2dd
-            - 2 * a2 * c1dd
-        )
-        f, fp, fpp, fppp, fpppp = c1, c1d, c1dd, c1d3, c1d4
-        r = (
-            fpppp * f ** 2
-            - 2 * fppp * fp * f
-            - 2 * fppp * f ** 3
-            - 2 * fpp ** 2 * f
-            + 2 * fpp * fp ** 2
-            + 4 * fpp * fp * f ** 2
-            - 2 * fpp * f ** 4
-            - 4 * fp ** 2 * f ** 3
-            + 4 * fp * f ** 5
-            + 4 * a2 * (fpp * f ** 2 - 2 * fp * f ** 3)
-        )
-        worst = max(worst, abs(r))
-    return worst
+# structural identities checked by ``goldfish verify``
 
 
 def residual_rank_one(spec: ModelSpec, state: ParticleState) -> float:
@@ -1006,19 +837,6 @@ def residual_rank_one(spec: ModelSpec, state: ParticleState) -> float:
                 for l in range(k + 1, n):
                     worst = max(worst, abs(B[i, k] * B[j, l] - B[i, l] * B[j, k]))
     return worst
-
-
-def residual_velocity_diagonal(U, Udot, z_ref, zdot_ref) -> float:
-    """Deviation of the diagonal gauge velocities from the reference ones.
-
-    Diagonalising ``U`` with branches ordered like ``z_ref`` and
-    transporting ``Udot`` into that frame must reproduce ``zdot_ref`` on
-    the diagonal.
-    """
-    z_ref = np.asarray(z_ref, dtype=complex)
-    zdot_ref = np.asarray(zdot_ref, dtype=complex)
-    w = _eigen_velocities(np.asarray(U, complex), np.asarray(Udot, complex), z_ref)
-    return float(np.max(np.abs(w - zdot_ref)))
 
 
 def residual_coupling_identity(alpha, beta, gamma, pairs) -> float:
@@ -1040,79 +858,3 @@ def residual_coupling_identity(alpha, beta, gamma, pairs) -> float:
             raise ValueError("pairs must have x != y")
         worst = max(worst, abs(fp(x) + fp(y) - 2 * (f(x) - f(y)) / (x - y)))
     return worst
-
-
-def residual_ansatz_offdiag(spec: ModelSpec, traj: Trajectory) -> float:
-    """Residual of the off-diagonal compatibility identity along a
-    goldfish trajectory.
-
-    The square-root pair ansatz with zero diagonal gauge turns the
-    off-diagonal matrix compatibility equations into identities.  In
-    logarithmic form all branch choices drop out: with
-    ``w_n = zdot_n + f(z_n)`` the residual reads
-    ``wdot_n/(2 w_n) + wdot_m/(2 w_m) + (zdot_n - zdot_m)/(z_n - z_m)
-    + sum_l w_l (z_n + z_m - 2 z_l) / ((z_n - z_l)(z_l - z_m))``.
-    """
-    half = traj.dim // 2
-    a, b, c = spec.f_abc()
-    worst = 0.0
-    for row in traj.states:
-        z, v = row[:half], row[half:]
-        state = ParticleState(z, v)
-        acc = eval_rhs(spec, state)
-        w = v + spec.f_of(z)
-        wdot = acc + (b + 2 * c * z) * v
-        n = z.size
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                r = (
-                    wdot[i] / (2 * w[i])
-                    + wdot[j] / (2 * w[j])
-                    + (v[i] - v[j]) / (z[i] - z[j])
-                )
-                for l in range(n):
-                    if l in (i, j):
-                        continue
-                    r += w[l] * (z[i] + z[j] - 2 * z[l]) / ((z[i] - z[l]) * (z[l] - z[j]))
-                worst = max(worst, abs(r))
-    return worst
-
-
-def residual_boundary_row(spec: ModelSpec, state: CoefficientState) -> float:
-    """Value of the index-zero row of the spec's coefficient dynamics.
-
-    With ``c_0 = 1`` fixed and negative-index coefficients zero, the row
-    collapses identically; evaluating it guards the boundary conventions.
-    Particle and matrix specs have no such row and raise ``ValueError``.
-    """
-    if spec.system not in _COEFFICIENT:
-        raise ValueError(f"{spec.system.value} is not a coefficient system")
-    (value,) = _coefficient_bracket(spec, state.c, state.cdot, [0])
-    return abs(value)
-
-
-def structural_residuals(kind: str, **inputs) -> StructuralReport:
-    """Dispatch a named structural identity check; see the residual_*
-    functions for the individual contracts."""
-    kind = kind.upper()
-    if kind == "QUARTIC_N2":
-        value = residual_quartic_n2(inputs["traj"], inputs["a2"])
-    elif kind == "GAUGE_RANK1":
-        value = residual_rank_one(inputs["spec"], inputs["state"])
-    elif kind == "WNN":
-        value = residual_velocity_diagonal(
-            inputs["U"], inputs["Udot"], inputs["z_ref"], inputs["zdot_ref"]
-        )
-    elif kind == "FUNCEQ":
-        value = residual_coupling_identity(
-            inputs["alpha"], inputs["beta"], inputs["gamma"], inputs["pairs"]
-        )
-    elif kind == "ANSATZ_EVB":
-        value = residual_ansatz_offdiag(inputs["spec"], inputs["traj"])
-    elif kind == "BOUNDARY":
-        value = residual_boundary_row(inputs["spec"], inputs["state"])
-    else:
-        raise ValueError(f"unknown structural check {kind!r}")
-    return StructuralReport(kind, float(value))

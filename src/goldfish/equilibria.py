@@ -31,7 +31,6 @@ from .dynamics import _iso_bracket, _rational_bracket
 from .polynomials import (
     MonicPolynomial,
     PLAIN,
-    TILDE,
     cluster_roots,
     exact_binomial,
     find_roots,
@@ -43,16 +42,13 @@ __all__ = [
     "GenuinenessReport",
     "RecursionSolution",
     "cbar_closed_form",
-    "chi_recurrence_residuals",
     "enumerate_altgold_equilibria",
     "enumerate_iso_equilibria",
     "equilibrium_residual",
     "expand_altgold_psi",
     "expand_iso_psi",
     "genuineness_check",
-    "iso_core_residual",
     "phi_recursion_obstruction",
-    "solve_chi_recursion",
     "solve_phi_recursion",
     "ISO_NU_VALUES",
     "RESONANT_NU",
@@ -93,11 +89,6 @@ class EquilibriumConfig:
     free: dict
     cbar: tuple[Fraction, ...]
 
-    def polynomial(self) -> MonicPolynomial:
-        coeffs = np.array([1.0] + [float(c) for c in self.cbar], dtype=complex)
-        conv = TILDE if self.family is Family.ISO else PLAIN
-        return MonicPolynomial(coeffs, conv)
-
 
 @dataclass(frozen=True)
 class RecursionSolution:
@@ -105,7 +96,6 @@ class RecursionSolution:
 
     nu: int
     coefficients: tuple[Fraction, ...]
-    free_label: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +144,12 @@ class ResonantBranchError(ValueError):
     """
 
 
+def _phi_factor(nu: int, m: int) -> Fraction:
+    """Right-side factor ``(m - nu - 1)(m + 3 nu/(2 - nu))`` of the core
+    recurrence ``m (m - 5) phi_m = factor * phi_(m-1)``."""
+    return Fraction(m - nu - 1) * (Fraction(m) + Fraction(3 * nu, 2 - nu))
+
+
 def solve_phi_recursion(nu: int, c: Fraction = Fraction(0)) -> RecursionSolution:
     """Coefficients of the degree-``nu`` isochronous core polynomial.
 
@@ -181,10 +177,8 @@ def solve_phi_recursion(nu: int, c: Fraction = Fraction(0)) -> RecursionSolution
         if m == 5:
             phi.append(-(1 + Fraction(c)) if nu == 5 else Fraction(c))
             continue
-        factor = Fraction(m - nu - 1) * (Fraction(m) + Fraction(3 * nu, 2 - nu))
-        phi.append(factor * phi[m - 1] / Fraction(m * (m - 5)))
-    label = "c" if nu >= 5 else None
-    return RecursionSolution(nu, tuple(phi), label)
+        phi.append(_phi_factor(nu, m) * phi[m - 1] / Fraction(m * (m - 5)))
+    return RecursionSolution(nu, tuple(phi))
 
 
 def phi_recursion_obstruction(nu: int):
@@ -199,59 +193,15 @@ def phi_recursion_obstruction(nu: int):
         raise ValueError("an obstruction exists only for nu >= 6")
     phi = [Fraction(1)]
     for m in range(1, 5):
-        factor = Fraction(m - nu - 1) * (Fraction(m) + Fraction(3 * nu, 2 - nu))
-        phi.append(factor * phi[m - 1] / Fraction(m * (m - 5)))
+        phi.append(_phi_factor(nu, m) * phi[m - 1] / Fraction(m * (m - 5)))
     m = 5
-    rhs = Fraction(m - nu - 1) * (Fraction(m) + Fraction(3 * nu, 2 - nu)) * phi[4]
+    rhs = _phi_factor(nu, m) * phi[4]
     if rhs == 0:
         raise ResonantBranchError(
             f"degree {nu} carries no obstruction: the recurrence right side "
             "vanishes at m = 4, opening a one-parameter solution branch"
         )
     return m, Fraction(m * (m - 5)), rhs
-
-
-def solve_chi_recursion(nu: int, chi1: Fraction | None = None, chi5: Fraction = Fraction(0)):
-    """Coefficients of the shifted core polynomial of the rational-time
-    system, from its two-term recurrence.
-
-    For ``nu != 2`` the first coefficient is forced to ``-nu``; for
-    ``nu = 2`` it is free.  ``chi5`` parametrises the free tail that
-    appears from degree five on.
-    """
-    if nu == 2:
-        if chi1 is None:
-            raise ValueError("nu = 2 leaves chi_1 free; provide it")
-        chi = [Fraction(1), Fraction(chi1), Fraction(chi1) * (Fraction(chi1) + 1) / 3]
-        return RecursionSolution(nu, tuple(chi), "chi1")
-    chi = [Fraction(1)]
-    for m in range(1, nu + 1):
-        if m == 1:
-            chi.append(Fraction(-nu))
-        elif m == 5:
-            chi.append(Fraction(chi5))
-        else:
-            val = (
-                2
-                * Fraction(nu + 1 - m)
-                * (Fraction(3 - nu - m) - chi[1])
-                * chi[m - 1]
-                / Fraction(m * (m - 5))
-            )
-            chi.append(val)
-    return RecursionSolution(nu, tuple(chi), "chi5" if nu >= 5 else None)
-
-
-def chi_recurrence_residuals(sol: RecursionSolution):
-    """Exact residuals of the two-term recurrence for a chi solution."""
-    chi = list(sol.coefficients) + [Fraction(0)]
-    nu = sol.nu
-    out = []
-    for m in range(1, nu + 2):
-        cm = chi[m] if m <= nu else Fraction(0)
-        cm1 = chi[m - 1]
-        out.append(Fraction(m * (m - 5)) * cm - 2 * Fraction(nu + 1 - m) * (Fraction(3 - nu - m) - chi[1]) * cm1)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -335,21 +285,6 @@ def enumerate_iso_equilibria(N: int, free_samples=DEFAULT_FREE_SAMPLES, include_
                 free = {"c": Fraction(c)} if nu >= 5 else {}
                 configs.append(EquilibriumConfig(Family.ISO, N, nu, mu, free, cbar))
     return configs
-
-
-def iso_core_residual(roots) -> float:
-    """Residual of the algebraic system obeyed by the core-polynomial
-    zeros of the isochronous equilibria:
-    ``z_n + i + sum_{m != n} z_m (z_m - i) / (z_n - z_m) = 0``."""
-    z = np.asarray(roots, dtype=complex)
-    worst = 0.0
-    for n in range(z.size):
-        r = z[n] + 1j
-        for m in range(z.size):
-            if m != n:
-                r += z[m] * (z[m] - 1j) / (z[n] - z[m])
-        worst = max(worst, abs(r))
-    return worst
 
 
 # ---------------------------------------------------------------------------

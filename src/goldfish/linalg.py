@@ -26,7 +26,6 @@ __all__ = [
     "eigenvalues",
     "integrate_ode",
     "multiset_distance",
-    "permutation_order",
     "track_trajectories",
 ]
 
@@ -227,28 +226,6 @@ class TrackedPaths:
     paths: np.ndarray
     monodromy: tuple[int, ...] = field(default=())
 
-    @property
-    def n_paths(self) -> int:
-        return self.paths.shape[0]
-
-
-def permutation_order(perm) -> int:
-    """Multiplicative order of a permutation given in one-line notation."""
-    n = len(perm)
-    seen = [False] * n
-    order = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        order = order * length // np.gcd(order, length)
-    return int(order)
-
 
 def multiset_distance(a, b) -> float:
     """Largest distance in a minimum-cost injective matching of the values
@@ -258,12 +235,24 @@ def multiset_distance(a, b) -> float:
     return float(np.max(cost[rows, cols]))
 
 
-def _match_frames(prev: np.ndarray, new: np.ndarray):
-    """Min-cost assignment of ``new`` values to ``prev`` slots."""
-    cost = np.abs(prev[:, None] - new[None, :]) ** 2
+def _match_step(current: np.ndarray, new: np.ndarray, index: int) -> np.ndarray:
+    """Slots of ``new`` matched to the branches ``current``, by minimum total
+    squared displacement: branch ``k`` moves to ``new[perm[k]]``.
+
+    Raises :class:`AmbiguousTrackingError` for frame ``index`` unless the
+    largest displacement stays below half the smallest gap in ``new``.
+    """
+    n = current.size
+    cost = np.abs(current[:, None] - new[None, :]) ** 2
     rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(len(prev), dtype=int)
+    perm = np.empty(n, dtype=int)
     perm[rows] = cols
+    if n > 1:
+        disp = float(np.max(np.abs(new[perm] - current)))
+        diffs = np.abs(new[:, None] - new[None, :])
+        gap = float(np.min(diffs[~np.eye(n, dtype=bool)]))
+        if disp >= 0.5 * gap:
+            raise AmbiguousTrackingError(index, disp, gap)
     return perm
 
 
@@ -290,14 +279,8 @@ def track_trajectories(frames, times) -> TrackedPaths:
     current = frames[0].copy()
     for j in range(1, len(frames)):
         new = frames[j]
-        perm = _match_frames(current, new)
+        perm = _match_step(current, new, j - 1)
         matched = new[perm]
-        if n > 1:
-            disp = float(np.max(np.abs(matched - current)))
-            diffs = np.abs(new[:, None] - new[None, :])
-            gap = float(np.min(diffs[~np.eye(n, dtype=bool)]))
-            if disp >= 0.5 * gap:
-                raise AmbiguousTrackingError(j - 1, disp, gap)
         paths[:, j] = matched
         # perm is indexed by branch, so it already is the composition of
         # all slot-to-slot assignments up to frame j

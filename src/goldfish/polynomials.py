@@ -92,17 +92,11 @@ class MonicPolynomial:
     def plain_coeffs(self) -> np.ndarray:
         return self.convention.unstrip(self.coeffs)
 
-    def __call__(self, z: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in self.plain_coeffs():
-            acc = acc * z + c
-        return acc
-
 
 def from_roots(roots, conv: CoefficientConvention = PLAIN) -> MonicPolynomial:
     """Monic polynomial with the given zeros (Vieta expansion)."""
     r = np.asarray(roots, dtype=complex)
-    if not np.all(np.isfinite(r.view(float))):
+    if not np.all(np.isfinite(r)):
         raise ValueError("roots must be finite")
     plain = np.atleast_1d(np.poly(r)).astype(complex) if r.size else np.array([1.0 + 0j])
     return MonicPolynomial(conv.strip(plain), conv)
@@ -287,20 +281,6 @@ class IntegerPolynomial:
 
     __rmul__ = __mul__
 
-    def deflate(self, root) -> "IntegerPolynomial":
-        """Exact synthetic division by ``(x - root)``; root must divide."""
-        r = Fraction(root)
-        c = self.coeffs
-        q = [Fraction(0)] * (len(c) - 1)
-        carry = Fraction(0)
-        for k in range(len(c) - 1, 0, -1):
-            carry = c[k] + carry * r
-            q[k - 1] = carry
-        rem = c[0] + carry * r
-        if rem != 0:
-            raise ValueError(f"{root} is not a root (remainder {rem})")
-        return IntegerPolynomial(tuple(q))
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -326,22 +306,20 @@ class IntegerPolynomial:
         return text
 
     @staticmethod
-    def one() -> "IntegerPolynomial":
-        return IntegerPolynomial((Fraction(1),))
-
-    @staticmethod
-    def monomial(root) -> "IntegerPolynomial":
-        """The linear factor ``(p - root)``."""
-        return IntegerPolynomial((-Fraction(root), Fraction(1)))
-
-    @staticmethod
     def from_integer_roots(roots) -> "IntegerPolynomial":
-        """``prod (p - r)`` over ``roots``, expanded in ``int`` by synthetic
-        multiplication; ``Fraction`` coefficients are built once, at the end."""
-        c = [1]
-        for r in roots:
-            c = [-r * c[0], *(c[k - 1] - r * c[k] for k in range(1, len(c))), c[-1]]
-        return IntegerPolynomial(tuple(c))
+        """``prod (p - r)`` over the integer ``roots``."""
+        return IntegerPolynomial(tuple(_linear_product(roots)))
+
+
+def _linear_product(roots) -> list[int]:
+    """Ascending ``int`` coefficients of ``prod (x - r)`` over ``roots``, by
+    synthetic multiplication."""
+    c = [1]
+    for r in roots:
+        c = [0] + c
+        for k in range(len(c) - 1):
+            c[k] -= r * c[k + 1]
+    return c
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
@@ -378,11 +356,7 @@ def _lagrange_interpolate(points, values) -> tuple[list[int], int]:
     Each basis polynomial is the node polynomial ``prod_j (x - x_j)``
     divided synthetically by its own ``(x - x_i)``.
     """
-    node = [1]
-    for xj in points:
-        node = [0] + node
-        for k in range(len(node) - 1):
-            node[k] -= xj * node[k + 1]
+    node = _linear_product(points)
     weights = [math.prod(xi - xj for xj in points if xj != xi) for xi in points]
     den = math.lcm(*weights)
     num = [0] * len(points)

@@ -19,7 +19,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "jsonify",
     "make_report",
-    "read_trajectory_csv",
     "render_report",
     "write_report",
     "write_trajectory_csv",
@@ -101,18 +100,6 @@ def write_trajectory_csv(times, values, path=None, label="z", velocities=None):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     return text
-
-
-def read_trajectory_csv(path):
-    """Inverse of :func:`write_trajectory_csv` (values part only)."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [list(map(float, line.strip().split(","))) for line in fh if line.strip()]
-    data = np.array(rows)
-    times = data[:, 0]
-    ncols = (len(header) - 1) // 2
-    values = data[:, 1::2][:, :ncols] + 1j * data[:, 2::2][:, :ncols]
-    return times, values
 
 
 # ---------------------------------------------------------------------------

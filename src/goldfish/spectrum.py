@@ -308,17 +308,21 @@ class C217Result:
 def verify_conjectures(which: str, nu: int, mu, N: int, free_samples=None, tol: float = 1e-6):
     """Check one conjectured spectral formula on one cell.
 
-    ``which = "c215"`` expands the conjectured product exactly and
-    demands coefficientwise equality with the exact characteristic
-    polynomial (for the free-constant family, for every sampled value);
-    disagreements come back as counterexample records, never exceptions.
+    ``which = "c215"`` needs an integer ``mu`` (``ValueError`` otherwise),
+    expands the conjectured product exactly and demands coefficientwise
+    equality with the exact characteristic polynomial (for the
+    free-constant family, for every sampled value); disagreements come
+    back as counterexample records, never exceptions.
     ``which = "c217"`` solves the pencil numerically and asserts only
     that the claimed partial list is contained in the spectrum within
     ``tol`` (the complement is deliberately not asserted).
     """
     which = which.lower()
     if which == "c215":
-        mu = int(mu)
+        mu = Fraction(mu)
+        if mu.denominator != 1:
+            raise ValueError(f"c215 is conjectured for integer mu only, got mu = {mu}")
+        mu = mu.numerator
         product = conjecture_215_product(nu, mu, N)
         counterexamples = []
         charpoly = None

@@ -18,6 +18,15 @@ accelerations read the spec's constants on every call, eigenvalue paths
 are tracked again over the whole frame list after every inserted
 midpoint): the library's compiled right-hand side and its local
 refinement must reproduce these results bit for bit.
+
+The paper identities that no report uses live here too: the
+generating-polynomial residual of the coefficient dynamics, the quartic
+ODE of the two-body leading coefficient, the off-diagonal compatibility
+identity of the matrix ansatz, the rational-time core recurrence (its
+solver and exact residuals), the algebraic system of the isochronous core
+zeros and the order of a monodromy permutation.  The tests check the
+library's trajectories, equilibria and tracked branches against them; a
+paper identity returns to the library only when a report uses it.
 """
 
 import math
@@ -25,9 +34,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from goldfish.dynamics import System
-from goldfish.linalg import AmbiguousTrackingError, TrackedPaths, eigenvalues, track_trajectories
-from goldfish.equilibria import Family
+from goldfish.dynamics import ModelSpec, ParticleState, System, eval_rhs
+from goldfish.linalg import (
+    AmbiguousTrackingError,
+    TrackedPaths,
+    Trajectory,
+    eigenvalues,
+    track_trajectories,
+)
+from goldfish.equilibria import Family, RecursionSolution
 from goldfish.polynomials import IntegerPolynomial
 from goldfish.spectrum import QuadraticPencil
 
@@ -359,6 +374,21 @@ def _root_bound(q: IntegerPolynomial) -> int:
     return int(math.floor(bound)) + 1
 
 
+def deflate(poly: IntegerPolynomial, root) -> IntegerPolynomial:
+    """Exact synthetic division by ``(x - root)``; root must divide."""
+    r = Fraction(root)
+    c = poly.coeffs
+    q = [Fraction(0)] * (len(c) - 1)
+    carry = Fraction(0)
+    for k in range(len(c) - 1, 0, -1):
+        carry = c[k] + carry * r
+        q[k - 1] = carry
+    rem = c[0] + carry * r
+    if rem != 0:
+        raise ValueError(f"{root} is not a root (remainder {rem})")
+    return IntegerPolynomial(tuple(q))
+
+
 def integer_roots(q: IntegerPolynomial):
     """All integer roots and the deflated remainder, by ``Fraction``
     evaluation: after each root found, deflate its full multiplicity and
@@ -376,15 +406,18 @@ def integer_roots(q: IntegerPolynomial):
             break
         while rem.degree >= 1 and rem(found) == 0:
             roots.append(found)
-            rem = rem.deflate(found)
+            rem = deflate(rem, found)
     return sorted(roots), rem
 
 
 def conjecture_215_product(nu: int, mu: int, N: int) -> IntegerPolynomial:
     """The conjectured product, one ``Fraction`` polynomial product per
     linear factor (empty products are one)."""
-    lin = IntegerPolynomial.monomial
-    acc = IntegerPolynomial.one()
+
+    def lin(root):
+        return IntegerPolynomial((-Fraction(root), Fraction(1)))
+
+    acc = IntegerPolynomial((Fraction(1),))
     if nu == 0:
         for n in range(1, N - mu + 1):
             acc = acc * lin(n) * lin(n + 1)
@@ -420,3 +453,257 @@ def conjecture_215_product(nu: int, mu: int, N: int) -> IntegerPolynomial:
     else:
         raise ValueError(f"no conjectured product for nu = {nu}")
     return acc
+
+
+# ---------------------------------------------------------------------------
+# paper identities no report uses
+
+
+def pde_residual(traj: Trajectory, spec: ModelSpec, z_samples) -> float:
+    """Max residual of the generating-polynomial evolution equation.
+
+    The sampled coefficient trajectory defines the monic polynomial
+    ``psi(z, t)``; its z-derivatives are analytic, the first time
+    derivative comes from the sampled velocities, and the second uses a
+    centered five-point difference, so only interior samples contribute.
+    """
+    if spec.system not in (System.ALTGOLD, System.ALTISOGOLD, System.GAMMATAU):
+        raise ValueError("pde_residual applies to the coefficient systems")
+    N = spec.N
+    times = traj.times
+    c = traj.states[:, :N]
+    cdot = traj.states[:, N:]
+    z_samples = np.asarray(z_samples, dtype=complex)
+    if times.size >= 5:
+        h = times[1] - times[0]
+        if np.max(np.abs(np.diff(times) - h)) > 1e-9 * max(1.0, abs(h)):
+            raise ValueError("pde_residual requires uniform sampling")
+        interior = range(2, times.size - 2)
+        cddot = {
+            j: (-c[j - 2] + 16 * c[j - 1] - 30 * c[j] + 16 * c[j + 1] - c[j + 2]) / (12 * h * h)
+            for j in interior
+        }
+    else:
+        # constant (equilibrium) input: all time derivatives vanish
+        interior = range(times.size)
+        cddot = {j: np.zeros(N, dtype=complex) for j in interior}
+
+    powers = np.arange(N, -1, -1)
+
+    def poly_eval(coeffs_full, z):
+        return sum(coeffs_full[m] * z ** powers[m] for m in range(N + 1))
+
+    worst = 0.0
+    tilde = spec.system is System.ALTISOGOLD
+    im = 1j ** np.arange(N + 1)
+    for j in interior:
+        c_full = np.concatenate([[1.0 + 0j], c[j]])
+        cd_full = np.concatenate([[0.0 + 0j], cdot[j]])
+        cdd_full = np.concatenate([[0.0 + 0j], cddot[j]])
+        if tilde:
+            pc, pcd, pcdd = im * c_full, im * cd_full, im * cdd_full
+        else:
+            pc, pcd, pcdd = c_full, cd_full, cdd_full
+        c1, c2 = c[j][0], (c[j][1] if N >= 2 else 0.0)
+        c1d = cdot[j][0]
+        for z in z_samples:
+            psi = poly_eval(pc, z)
+            psi_t = poly_eval(pcd, z)
+            psi_tt = poly_eval(pcdd, z)
+            psi_z = sum(pc[m] * (N - m) * z ** (N - m - 1) for m in range(N))
+            psi_zz = sum(
+                pc[m] * (N - m) * (N - m - 1) * z ** (N - m - 2) for m in range(N - 1)
+            )
+            psi_tz = sum(pcd[m] * (N - m) * z ** (N - m - 1) for m in range(N))
+            if not tilde:
+                a2 = spec.a2
+                r = (
+                    psi_tt
+                    - 2 * (z * z - a2) * psi_tz
+                    + 2 * ((N - 2) * z - c1) * psi_t
+                    + (z * z - a2) ** 2 * psi_zz
+                    - 2 * ((N - 3) * z - c1) * (z * z - a2) * psi_z
+                    + (
+                        N * (N - 5) * z * z
+                        - 2 * (N - 2) * c1 * z
+                        + 2 * (2 * N * a2 + c1d - c1 ** 2 + 3 * c2)
+                    )
+                    * psi
+                )
+            else:
+                r = (
+                    psi_tt
+                    - 2 * z * (z - 1j) * psi_tz
+                    + (2 * (N - 2) * z - (2 * N + 1) * 1j - 2j * c1) * psi_t
+                    + z * z * (z - 1j) ** 2 * psi_zz
+                    - 2 * z * (z - 1j) * (N * (z - 1j) - 3 * z - 1j * c1) * psi_z
+                    + (
+                        N * (N - 5) * z * z
+                        - 2 * N * (N - 2) * 1j * z
+                        - N * (N + 1)
+                        - 2 * (N - 2) * 1j * c1 * z
+                        - 2 * (N - 1) * c1
+                        + 2 * (1j * c1d + c1 ** 2 - 3 * c2)
+                    )
+                    * psi
+                )
+            worst = max(worst, abs(r))
+    return worst
+
+
+def residual_quartic_n2(traj: Trajectory, a2: complex) -> float:
+    """Residual of the fourth-order scalar ODE obeyed by the leading
+    coefficient of the two-body coefficient system.
+
+    The higher time derivatives of ``c_1`` are produced by chaining the
+    equations of motion, so the check is free of finite-difference noise.
+    """
+    worst = 0.0
+    for row in traj.states:
+        c1, c2, c1d, c2d = row[0], row[1], row[2], row[3]
+        c1dd = 2 * c1 ** 3 - 6 * c1 * c2 - 2 * a2 * c1
+        c2dd = (
+            2 * c1 * c2d
+            - 2 * a2 * c1d
+            - 2 * (4 * a2 + c1d - c1 ** 2 + 3 * c2) * c2
+            + 2 * a2 * c1 ** 2
+            - 2 * a2 ** 2
+        )
+        c1d3 = 6 * c1 ** 2 * c1d - 6 * c1d * c2 - 6 * c1 * c2d - 2 * a2 * c1d
+        c1d4 = (
+            12 * c1 * c1d ** 2
+            + 6 * c1 ** 2 * c1dd
+            - 6 * c1dd * c2
+            - 12 * c1d * c2d
+            - 6 * c1 * c2dd
+            - 2 * a2 * c1dd
+        )
+        f, fp, fpp, fppp, fpppp = c1, c1d, c1dd, c1d3, c1d4
+        r = (
+            fpppp * f ** 2
+            - 2 * fppp * fp * f
+            - 2 * fppp * f ** 3
+            - 2 * fpp ** 2 * f
+            + 2 * fpp * fp ** 2
+            + 4 * fpp * fp * f ** 2
+            - 2 * fpp * f ** 4
+            - 4 * fp ** 2 * f ** 3
+            + 4 * fp * f ** 5
+            + 4 * a2 * (fpp * f ** 2 - 2 * fp * f ** 3)
+        )
+        worst = max(worst, abs(r))
+    return worst
+
+
+def residual_ansatz_offdiag(spec: ModelSpec, traj: Trajectory) -> float:
+    """Residual of the off-diagonal compatibility identity along a
+    goldfish trajectory.
+
+    The square-root pair ansatz with zero diagonal gauge turns the
+    off-diagonal matrix compatibility equations into identities.  In
+    logarithmic form all branch choices drop out: with
+    ``w_n = zdot_n + f(z_n)`` the residual reads
+    ``wdot_n/(2 w_n) + wdot_m/(2 w_m) + (zdot_n - zdot_m)/(z_n - z_m)
+    + sum_l w_l (z_n + z_m - 2 z_l) / ((z_n - z_l)(z_l - z_m))``.
+    """
+    half = traj.dim // 2
+    a, b, c = spec.f_abc()
+    worst = 0.0
+    for row in traj.states:
+        z, v = row[:half], row[half:]
+        state = ParticleState(z, v)
+        acc = eval_rhs(spec, state)
+        w = v + spec.f_of(z)
+        wdot = acc + (b + 2 * c * z) * v
+        n = z.size
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                r = (
+                    wdot[i] / (2 * w[i])
+                    + wdot[j] / (2 * w[j])
+                    + (v[i] - v[j]) / (z[i] - z[j])
+                )
+                for l in range(n):
+                    if l in (i, j):
+                        continue
+                    r += w[l] * (z[i] + z[j] - 2 * z[l]) / ((z[i] - z[l]) * (z[l] - z[j]))
+                worst = max(worst, abs(r))
+    return worst
+
+
+def solve_chi_recursion(nu: int, chi1: Fraction | None = None, chi5: Fraction = Fraction(0)):
+    """Coefficients of the shifted core polynomial of the rational-time
+    system, from its two-term recurrence.
+
+    For ``nu != 2`` the first coefficient is forced to ``-nu``; for
+    ``nu = 2`` it is free.  ``chi5`` parametrises the free tail that
+    appears from degree five on.
+    """
+    if nu == 2:
+        if chi1 is None:
+            raise ValueError("nu = 2 leaves chi_1 free; provide it")
+        chi = [Fraction(1), Fraction(chi1), Fraction(chi1) * (Fraction(chi1) + 1) / 3]
+        return RecursionSolution(nu, tuple(chi))
+    chi = [Fraction(1)]
+    for m in range(1, nu + 1):
+        if m == 1:
+            chi.append(Fraction(-nu))
+        elif m == 5:
+            chi.append(Fraction(chi5))
+        else:
+            val = (
+                2
+                * Fraction(nu + 1 - m)
+                * (Fraction(3 - nu - m) - chi[1])
+                * chi[m - 1]
+                / Fraction(m * (m - 5))
+            )
+            chi.append(val)
+    return RecursionSolution(nu, tuple(chi))
+
+
+def chi_recurrence_residuals(sol: RecursionSolution):
+    """Exact residuals of the two-term recurrence for a chi solution."""
+    chi = list(sol.coefficients) + [Fraction(0)]
+    nu = sol.nu
+    out = []
+    for m in range(1, nu + 2):
+        cm = chi[m] if m <= nu else Fraction(0)
+        cm1 = chi[m - 1]
+        out.append(Fraction(m * (m - 5)) * cm - 2 * Fraction(nu + 1 - m) * (Fraction(3 - nu - m) - chi[1]) * cm1)
+    return tuple(out)
+
+
+def iso_core_residual(roots) -> float:
+    """Residual of the algebraic system obeyed by the core-polynomial
+    zeros of the isochronous equilibria:
+    ``z_n + i + sum_{m != n} z_m (z_m - i) / (z_n - z_m) = 0``."""
+    z = np.asarray(roots, dtype=complex)
+    worst = 0.0
+    for n in range(z.size):
+        r = z[n] + 1j
+        for m in range(z.size):
+            if m != n:
+                r += z[m] * (z[m] - 1j) / (z[n] - z[m])
+        worst = max(worst, abs(r))
+    return worst
+
+
+def permutation_order(perm) -> int:
+    """Multiplicative order of a permutation given in one-line notation."""
+    n = len(perm)
+    seen = [False] * n
+    order = 1
+    for i in range(n):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        order = order * length // np.gcd(order, length)
+    return int(order)

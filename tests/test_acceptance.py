@@ -15,9 +15,6 @@ from goldfish.dynamics import (
     ParticleState,
     System,
     detect_period,
-    pde_residual,
-    residual_ansatz_offdiag,
-    residual_quartic_n2,
     residual_rank_one,
     simulate,
 )
@@ -29,7 +26,12 @@ from goldfish.equilibria import (
 )
 from goldfish.linalg import MovableSingularityError
 from goldfish.spectrum import verify_conjectures, verify_integrality
-from oracles import altgold_binomial_closed_form
+from oracles import (
+    altgold_binomial_closed_form,
+    pde_residual,
+    residual_ansatz_offdiag,
+    residual_quartic_n2,
+)
 
 GRID_NUS = (0, 1, 3, 4, 5)
 GRID_N_MAX = 10

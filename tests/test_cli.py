@@ -4,11 +4,23 @@ import numpy as np
 import pytest
 
 from goldfish.cli import main
-from goldfish.reports import read_trajectory_csv, write_trajectory_csv, write_trajectory_svg
+from goldfish.reports import write_trajectory_csv, write_trajectory_svg
 
 
 def run(argv):
     return main(argv)
+
+
+def read_trajectory_csv(path):
+    """Inverse of :func:`write_trajectory_csv` (values part only)."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        rows = [list(map(float, line.strip().split(","))) for line in fh if line.strip()]
+    data = np.array(rows)
+    times = data[:, 0]
+    ncols = (len(header) - 1) // 2
+    values = data[:, 1::2][:, :ncols] + 1j * data[:, 2::2][:, :ncols]
+    return times, values
 
 
 def test_spectrum_command_hand_cell(tmp_path):
@@ -79,6 +91,31 @@ def test_conjecture_verified_cell(tmp_path):
     out = tmp_path / "c.json"
     code = run(["conjecture", "--which", "c215", "--nu", "0", "--mu", "1", "--n", "2", "--json", str(out)])
     assert code == 0
+
+
+def test_conjecture_c215_rejects_non_integer_mu(tmp_path, capsys):
+    # the product formula is stated for integer mu; 1/2 must not be
+    # truncated to the (passing) mu = 0 cell
+    out = tmp_path / "c.json"
+    code = run(["conjecture", "--which", "c215", "--nu", "0", "--mu", "1/2", "--n", "3",
+                "--json", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1/2" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_sweep_c215_non_integer_mu_cell_fails(tmp_path):
+    out = tmp_path / "s.json"
+    code = run(["sweep", "--which", "c215", "--nu-list", "0", "--mu-list", "0,1/2",
+                "--n-min", "3", "--n-max", "3", "--threads", "1", "--json", str(out)])
+    assert code == 1
+    report = json.loads(out.read_text())
+    assert report["results"]["nu=0,mu=0,N=3"]["pass"] is True
+    bad = report["results"]["nu=0,mu=1/2,N=3"]
+    assert bad["pass"] is False and bad["detail"].startswith("error: ")
+    assert report["failures"] == ["nu=0,mu=1/2,N=3"]
 
 
 def test_sweep_determinism(tmp_path):

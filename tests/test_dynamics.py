@@ -17,20 +17,13 @@ from goldfish.dynamics import (
     detect_period,
     eigenvalue_paths,
     eval_rhs,
-    pde_residual,
-    residual_ansatz_offdiag,
-    residual_boundary_row,
     residual_coupling_identity,
-    residual_quartic_n2,
     residual_rank_one,
-    residual_velocity_diagonal,
     simulate,
-    structural_residuals,
-    trick_tau,
     trick_transform,
     trick_transform_state,
 )
-from goldfish.linalg import AmbiguousTrackingError, Trajectory, eigenvalues, permutation_order
+from goldfish.linalg import AmbiguousTrackingError, Trajectory, eigenvalues
 
 
 def multiset_dev(a, b):
@@ -141,7 +134,8 @@ def test_matrix_init_velocity_diagonal():
     spec = ModelSpec(System.GOLD, 3, a2=0.2 + 0.1j)
     state = random_state(rng, 3, scale=1.0)
     init = build_matrix_initial_data(spec, state)
-    assert residual_velocity_diagonal(init.U, init.Udot, state.z, state.zdot) < 1e-12
+    w = dynamics._eigen_velocities(init.U, init.Udot, state.z)
+    assert float(np.max(np.abs(w - state.zdot))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +226,6 @@ def test_spectral_velocities_match_direct():
 
 # ---------------------------------------------------------------------------
 # the exponential time substitution
-
-
-def test_trick_path_endpoints():
-    assert abs(trick_tau(0.0)) < 1e-15
-    assert abs(trick_tau(2 * np.pi)) < 1e-12
 
 
 def test_trick_zero_maps_to_zero():
@@ -355,7 +344,7 @@ def test_matrix_flow_monodromy_order():
     t = np.linspace(0, 2 * np.pi, 257)
     run = simulate(ModelSpec(System.MATRIX_UTILDE, 2), init, t, tol=1e-11)
     paths = eigenvalue_paths(run)
-    assert permutation_order(paths.monodromy) in (1, 2)
+    assert oracles.permutation_order(paths.monodromy) in (1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +361,7 @@ def test_pde_residual_static_equilibrium():
     states = np.tile(np.concatenate([c, np.zeros(3)]), (7, 1))
     traj = Trajectory(t, states)
     zs = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    assert pde_residual(traj, ModelSpec(System.ALTISOGOLD, 3), zs) < 1e-10
+    assert oracles.pde_residual(traj, ModelSpec(System.ALTISOGOLD, 3), zs) < 1e-10
 
 
 def test_pde_residual_along_trajectories():
@@ -384,7 +373,7 @@ def test_pde_residual_along_trajectories():
         cd0 = 0.15 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
         t = np.linspace(0, 1, 251)
         res = simulate(spec, CoefficientState(c0, cd0), t, tol=1e-12)
-        assert pde_residual(res.trajectory, spec, zs) < 1e-6
+        assert oracles.pde_residual(res.trajectory, spec, zs) < 1e-6
 
 
 def test_pde_residual_single_body_reduction():
@@ -404,7 +393,7 @@ def test_pde_residual_single_body_reduction():
         rows.append([-z, -v])
     traj = Trajectory(np.arange(5) * h, np.array(rows))
     gold_residual = abs(acc - (2 * z1 * (z1 ** 2 - a2)))
-    got = pde_residual(traj, spec, [0.7 - 0.3j, 1.1 + 0.9j])
+    got = oracles.pde_residual(traj, spec, [0.7 - 0.3j, 1.1 + 0.9j])
     assert abs(got - gold_residual) < 1e-6
 
 
@@ -416,14 +405,14 @@ def test_quartic_constant_equilibrium_state():
     a2 = 0.6 - 0.1j
     c = np.array([0.0, -a2, 0.0, 0.0])  # equilibrium: all chained derivatives vanish
     traj = Trajectory(np.arange(3.0), np.tile(c, (3, 1)))
-    assert residual_quartic_n2(traj, a2) < 1e-14
+    assert oracles.residual_quartic_n2(traj, a2) < 1e-14
 
 
 def test_quartic_along_trajectory():
     spec = ModelSpec(System.ALTGOLD, 2, a2=0.7 - 0.2j)
     state = CoefficientState([0.4 + 0.1j, -0.3 + 0.2j], [0.1 - 0.2j, 0.2 + 0.1j])
     res = simulate(spec, state, np.linspace(0, 1, 41), tol=1e-12)
-    assert residual_quartic_n2(res.trajectory, spec.a2) < 1e-10
+    assert oracles.residual_quartic_n2(res.trajectory, spec.a2) < 1e-10
 
 
 def test_coupling_identity_exact_pair():
@@ -444,7 +433,7 @@ def test_ansatz_offdiag_identity():
     spec = ModelSpec(System.GOLD, 3, a2=1 + 1j)
     state = random_state(rng, 3, scale=1.0)
     res = simulate(spec, state, np.linspace(0, 0.4, 21), tol=1e-12)
-    assert residual_ansatz_offdiag(spec, res.trajectory) < 1e-6
+    assert oracles.residual_ansatz_offdiag(spec, res.trajectory) < 1e-6
 
 
 def test_boundary_row_vanishes():
@@ -452,11 +441,11 @@ def test_boundary_row_vanishes():
     spec = ModelSpec(System.ALTGOLD, 4, a2=0.3 - 0.8j)
     c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     cd = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    assert residual_boundary_row(spec, CoefficientState(c, cd)) < 1e-13
+    (row,) = dynamics._coefficient_bracket(spec, c, cd, [0])
+    assert abs(row) < 1e-13
     iso = ModelSpec(System.ALTISOGOLD, 4)
-    assert residual_boundary_row(iso, CoefficientState(c, cd)) < 1e-13
-    with pytest.raises(ValueError):
-        residual_boundary_row(ModelSpec(System.GOLD, 4), CoefficientState(c, cd))
+    (row,) = dynamics._coefficient_bracket(iso, c, cd, [0])
+    assert abs(row) < 1e-13
 
 
 def test_coefficient_rhs_bit_identical_to_oracle():
@@ -551,16 +540,6 @@ def test_spectral_frames_equal_oracle():
             assert errors[0] == errors[1]
             refused += errors[0] is not None
     assert inserted > 0 and refused > 0
-
-
-def test_structural_dispatcher():
-    a2 = 0.6 - 0.1j
-    c = np.array([0.0, -a2, 0.0, 0.0])
-    traj = Trajectory(np.arange(3.0), np.tile(c, (3, 1)))
-    rep = structural_residuals("quartic_n2", traj=traj, a2=a2)
-    assert rep.kind == "QUARTIC_N2" and rep.max_abs < 1e-14
-    with pytest.raises(ValueError):
-        structural_residuals("nope")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,16 +11,13 @@ from goldfish.equilibria import (
     Family,
     ResonantBranchError,
     cbar_closed_form,
-    chi_recurrence_residuals,
     enumerate_altgold_equilibria,
     enumerate_iso_equilibria,
     equilibrium_residual,
     expand_altgold_psi,
     expand_iso_psi,
     genuineness_check,
-    iso_core_residual,
     phi_recursion_obstruction,
-    solve_chi_recursion,
     solve_phi_recursion,
 )
 
@@ -105,16 +103,32 @@ def test_resonant_branch_equilibria_are_exact():
 
 @pytest.mark.parametrize("nu", [1, 3, 4, 5, 7])
 def test_chi_recurrence_satisfied(nu):
-    sol = solve_chi_recursion(nu, chi5=Fraction(3, 2))
-    assert all(r == 0 for r in chi_recurrence_residuals(sol))
+    sol = oracles.solve_chi_recursion(nu, chi5=Fraction(3, 2))
+    assert all(r == 0 for r in oracles.chi_recurrence_residuals(sol))
     if nu != 2:
         assert sol.coefficients[1] == -nu
 
 
 def test_chi_free_quadratic_case():
-    sol = solve_chi_recursion(2, chi1=Fraction(5, 3))
-    assert all(r == 0 for r in chi_recurrence_residuals(sol))
+    sol = oracles.solve_chi_recursion(2, chi1=Fraction(5, 3))
+    assert all(r == 0 for r in oracles.chi_recurrence_residuals(sol))
     assert sol.coefficients[2] == Fraction(5, 3) * (Fraction(5, 3) + 1) / 3
+
+
+@pytest.mark.parametrize("nu", [5, 6, 7, 8, 9])
+def test_chi_recursion_expands_to_tail_family(nu):
+    # the tail family at mu = 0, N = nu is sum_m chi_m a^m (z + a)^(nu - m)
+    # with chi_5 = c/60: expanding the oracle's solution in powers of
+    # (z + a) must give the library's equilibrium coefficients exactly
+    a = Fraction(1)
+    for c in (Fraction(0), Fraction(3, 2), Fraction(-7)):
+        chi = oracles.solve_chi_recursion(nu, chi5=c / 60).coefficients
+        expanded = [Fraction(0)] * (nu + 1)  # descending powers of z
+        for m, x in enumerate(chi):
+            for j in range(nu - m + 1):
+                expanded[m + j] += x * a ** (m + j) * math.comb(nu - m, j)
+        want = (Fraction(1),) + expand_altgold_psi(Family.ALTGOLD_NU5PLUS, nu, a, 0, nu=nu, c=c)
+        assert tuple(expanded) == want, c
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +174,7 @@ def test_perturbed_config_fails():
 
 
 def test_iso_core_residual_single_root():
-    assert iso_core_residual([-1j]) < 1e-15
+    assert oracles.iso_core_residual([-1j]) < 1e-15
 
 
 # ---------------------------------------------------------------------------

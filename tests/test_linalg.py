@@ -10,9 +10,9 @@ from goldfish.linalg import (
     Trajectory,
     eigenvalues,
     integrate_ode,
-    permutation_order,
     track_trajectories,
 )
+from oracles import permutation_order
 
 
 def multiset_dev(a, b):

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from goldfish.equilibria import iso_core_residual
 from goldfish.polynomials import (
     IntegerPolynomial,
     MonicPolynomial,
@@ -64,7 +63,7 @@ def test_find_roots_round_trip():
 def test_find_roots_core_cubic_satisfies_algebraic_system():
     poly = MonicPolynomial(np.array([1, -6, 14, -14], dtype=complex), TILDE)
     roots = find_roots(poly)
-    assert iso_core_residual(roots) < 1e-8
+    assert oracles.iso_core_residual(roots) < 1e-8
 
 
 def test_coeff_velocities_zero():
@@ -123,7 +122,7 @@ def test_integer_polynomial_str_and_eval():
     p = IntegerPolynomial((Fraction(2), Fraction(-3), Fraction(1)))
     assert str(p) == "p^2 - 3p + 2"
     assert p(5) == 12
-    assert p.deflate(1).coeffs == (Fraction(-2), Fraction(1))
+    assert oracles.deflate(p, 1).coeffs == (Fraction(-2), Fraction(1))
 
 
 def test_pencil_charpoly_scalar():
@@ -229,7 +228,7 @@ def test_integer_roots_non_monic():
 def test_integer_roots_rational_coefficients():
     # (p - 3)(p^2 + 1/3)
     quadratic = IntegerPolynomial((Fraction(1, 3), Fraction(0), Fraction(1)))
-    p = IntegerPolynomial.monomial(3) * quadratic
+    p = IntegerPolynomial.from_integer_roots([3]) * quadratic
     roots, rem = integer_roots(p)
     assert roots == [3] and rem.coeffs == quadratic.coeffs
 
@@ -246,12 +245,12 @@ def test_integer_roots_at_window_ends():
     # p - k attains the Cauchy bound 1 + |k|, so its window of radius |k| + 2
     # is the tightest there is: the root is the outermost one a window holds
     for k in (-11, 11):
-        p = IntegerPolynomial.monomial(k) * Fraction(3)
+        p = IntegerPolynomial.from_integer_roots([k]) * Fraction(3)
         assert _root_bound([int(a) for a in p.coeffs]) == abs(k) + 2
         assert integer_roots(p) == ([k], IntegerPolynomial((Fraction(3),)))
     # the extreme roots of a spectrum, each with multiplicity
     p = IntegerPolynomial.from_integer_roots([-9, -9, 2, 9, 9, 9])
-    assert integer_roots(p) == ([-9, -9, 2, 9, 9, 9], IntegerPolynomial.one())
+    assert integer_roots(p) == ([-9, -9, 2, 9, 9, 9], IntegerPolynomial((Fraction(1),)))
 
 
 @given(
