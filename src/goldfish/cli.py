@@ -212,8 +212,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_isochrony(args) -> int:
     spec = _build_spec(args)
-    if args.system not in ("isogold", "altisogold"):
-        raise UsageError("isochrony applies to isogold or altisogold")
     rng = np.random.default_rng(args.seed)
     if args.z0 or args.c0:
         state0 = _initial_state(args, spec)
@@ -499,7 +497,7 @@ def cmd_sweep(args) -> int:
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     for key, value in pool.map(_sweep_cell, cells):
                         results[key] = value
-            except (OSError, PermissionError):
+            except OSError:
                 results = dict(map(_sweep_cell, cells))
         else:
             results = dict(map(_sweep_cell, cells))

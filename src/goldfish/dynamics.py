@@ -178,7 +178,7 @@ class ParticleState:
         v = np.asarray(self.zdot, dtype=complex)
         if z.ndim != 1 or z.shape != v.shape:
             raise ValueError("z and zdot must be equal-length vectors")
-        if not (np.all(np.isfinite(z.view(float))) and np.all(np.isfinite(v.view(float)))):
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(v))):
             raise ValueError("state must be finite")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "zdot", v)

@@ -25,16 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .dynamics import _iso_bracket, _rational_bracket
-from .polynomials import (
-    MonicPolynomial,
-    PLAIN,
-    cluster_roots,
-    exact_binomial,
-    find_roots,
-)
+from .polynomials import exact_binomial
 
 __all__ = [
     "EquilibriumConfig",
@@ -125,6 +117,22 @@ def _add(p, q):
     pp = [Fraction(0)] * (n - len(p)) + list(p)
     qq = [Fraction(0)] * (n - len(q)) + list(q)
     return [a + b for a, b in zip(pp, qq)]
+
+
+def _gcd_degree(p, q) -> int:
+    """Degree of ``gcd(p, q)`` by Euclid over the rationals (descending
+    coefficient lists with nonzero leading coefficients)."""
+    while q:
+        r = list(p)
+        while len(r) >= len(q):
+            f = r[0] / q[0]
+            for k in range(1, len(q)):
+                r[k] -= f * q[k]
+            r.pop(0)
+        while r and r[0] == 0:
+            r.pop(0)
+        p, q = q, r
+    return len(p) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +285,6 @@ def enumerate_iso_equilibria(N: int, free_samples=DEFAULT_FREE_SAMPLES, include_
     configs = []
     for nu in nus:
         for mu in range(nu, N + 1):
-            if nu > N:
-                continue
             samples = free_samples if nu >= 5 else (Fraction(0),)
             for c in samples:
                 cbar = expand_iso_psi(nu, mu, N, c)
@@ -379,144 +385,34 @@ def equilibrium_residual(config: EquilibriumConfig):
 
 @dataclass(frozen=True)
 class GenuinenessReport:
-    verdict: str  # "GENUINE" | "DEGENERATE"
-    multiplicities: tuple[tuple[complex, int], ...]
-    necessary_condition_met: bool | None
-    roots: tuple[complex, ...]
+    """Whether the ``N`` particle positions of an equilibrium are distinct.
 
-
-def _phi_internal_roots(nu: int, c: Fraction):
-    """(root, multiplicity) pairs of the isochronous core polynomial.
-
-    The multiplicity of the root zero is exact (trailing zero
-    coefficients); the free-constant quintic has the closed form
-    ``(z - i)^5 - i c`` whose roots are the shifted fifth roots of
-    ``i c``; remaining factors are root-found numerically and clustered.
+    ``distinct_roots`` counts the distinct zeros of the equilibrium
+    polynomial exactly; the verdict is GENUINE iff it equals ``N``.
+    ``necessary_condition_met`` is the isochronous family's necessary
+    condition for genuineness (``None`` for the rational-time families).
     """
-    if nu == 0:
-        return []
-    phi = list(solve_phi_recursion(nu, c).coefficients)
-    k = 0
-    while k < nu and phi[nu - k] == 0:
-        k += 1
-    out = [(0.0 + 0.0j, k)] if k else []
-    core = phi[: nu - k + 1]
-    deg = nu - k
-    if deg == 0:
-        return out
-    if nu == 5:
-        if c == 0:
-            return out + [(1j, 5)]
-        w = (1j * complex(c)) ** (1 / 5)
-        return out + [(1j + w * np.exp(2j * np.pi * j / 5), 1) for j in range(5)]
-    coeffs = np.array(
-        [complex(1j ** m * Fraction(p)) for m, p in enumerate(core)], dtype=complex
-    )
-    roots = find_roots(MonicPolynomial(coeffs, PLAIN))
-    return out + [(complex(r), int(m)) for r, m in cluster_roots(roots, tol=1e-6)]
+
+    verdict: str  # "GENUINE" | "DEGENERATE"
+    distinct_roots: int
+    necessary_condition_met: bool | None
 
 
 def genuineness_check(config: EquilibriumConfig) -> GenuinenessReport:
     """Classify an equilibrium: genuine means all position roots distinct.
 
-    Multiplicities come from the factored construction (block exponents
-    plus exact coincidence tests of the core factor at the block roots),
-    so repeated roots are detected exactly rather than through numeric
-    clustering, which cannot resolve high multiplicities reliably.
+    With ``P = (1, c_1, .., c_N)`` read as a descending polynomial, the
+    number of distinct zeros is ``N - deg gcd(P, P')``, computed exactly.
+    This holds in either coefficient convention: in TILDE the position
+    polynomial is ``psi(i x) = i^N P(x)``, whose zeros have the same
+    multiplicities as those of ``P``.
     """
-    if config.family is not Family.ISO:
-        return _genuineness_altgold(config)
-    N, nu, mu = config.N, config.nu, config.mu
-    c = Fraction(config.free.get("c", 0))
-    mult_zero = N - mu
-    mult_i = mu - nu
-    phi_roots = _phi_internal_roots(nu, c)
-    # the zero-block of the core is exact; fold it into the main block
-    zero_extra = sum(m for r, m in phi_roots if r == 0)
-    phi_roots = [(r, m) for r, m in phi_roots if r != 0]
-    mult_zero += zero_extra
-    # exact test for a core root at i: phi(i) = i^deg * sum of the
-    # stripped coefficients
-    if nu >= 1 and sum(solve_phi_recursion(nu, c).coefficients) == 0:
-        hit = [(r, m) for r, m in phi_roots if abs(r - 1j) < 1e-6]
-        phi_roots = [(r, m) for r, m in phi_roots if abs(r - 1j) >= 1e-6]
-        mult_i += sum(m for _, m in hit) if hit else 1
-    merged = []
-    if mult_zero:
-        merged.append((0.0 + 0.0j, mult_zero))
-    if mult_i:
-        merged.append((1j, mult_i))
-    merged.extend(phi_roots)
-    degenerate = any(m >= 2 for _, m in merged)
-    necessary = mu >= N - 1 and nu >= mu - 1
-    roots = []
-    for r, m in merged:
-        roots.extend([complex(r)] * m)
+    P = [Fraction(1), *map(Fraction, config.cbar)]
+    dP = [(config.N - k) * x for k, x in enumerate(P[:-1])]
+    distinct = config.N - _gcd_degree(P, dP)
+    necessary = None
+    if config.family is Family.ISO:
+        necessary = config.mu >= config.N - 1 and config.nu >= config.mu - 1
     return GenuinenessReport(
-        "DEGENERATE" if degenerate else "GENUINE",
-        tuple((complex(r), int(m)) for r, m in merged),
-        necessary,
-        tuple(roots),
-    )
-
-
-def _genuineness_altgold(config: EquilibriumConfig) -> GenuinenessReport:
-    a = Fraction(config.free["a"])
-    c = Fraction(config.free.get("c", 0))
-    N, nu, mu = config.N, config.nu, config.mu
-    blocks: list[tuple[complex, int]] = []
-    if config.family is Family.ALTGOLD_BINOMIAL:
-        mult_a, mult_ma, core = mu, N - mu, []
-    elif config.family is Family.ALTGOLD_NU2:
-        mult_a, mult_ma = mu, N - 2 - mu
-        # quadratic core z^2 + c z + (c^2 - a^2)/3: all special cases exact
-        disc = c * c - 4 * (c * c - a * a) / 3
-        double = disc == 0
-        at_a = (a + c) * (2 * a + c) == 0
-        at_ma = (a - c) * (2 * a - c) == 0
-        r1 = (-complex(c) + np.sqrt(complex(disc))) / 2
-        r2 = (-complex(c) - np.sqrt(complex(disc))) / 2
-        if double:
-            core = [(r1, 2)]
-        else:
-            core = [(r1, 1), (r2, 1)]
-        if at_a:
-            mult_a += sum(m for r, m in core if abs(r - complex(a)) < 1e-9)
-            core = [(r, m) for r, m in core if abs(r - complex(a)) >= 1e-9]
-        if at_ma:
-            mult_ma += sum(m for r, m in core if abs(r + complex(a)) < 1e-9)
-            core = [(r, m) for r, m in core if abs(r + complex(a)) >= 1e-9]
-    else:
-        mult_a, mult_ma = mu, N - mu - nu
-        coeffs = [Fraction(1)] + list(
-            expand_altgold_psi(config.family, nu, a, 0, nu=nu, c=c)
-        )
-        arr = np.array([complex(x) for x in coeffs])
-        roots = find_roots(MonicPolynomial(arr, PLAIN))
-        core = cluster_roots(roots, tol=1e-6)
-        val_a = sum(Fraction(x) * a ** (nu - k) for k, x in enumerate(coeffs))
-        val_ma = sum(Fraction(x) * (-a) ** (nu - k) for k, x in enumerate(coeffs))
-        if val_a == 0:
-            mult_a += sum(m for r, m in core if abs(r - complex(a)) < 1e-6)
-            core = [(r, m) for r, m in core if abs(r - complex(a)) >= 1e-6]
-        if val_ma == 0:
-            mult_ma += sum(m for r, m in core if abs(r + complex(a)) < 1e-6)
-            core = [(r, m) for r, m in core if abs(r + complex(a)) >= 1e-6]
-    if a == 0 and (mult_a or mult_ma):
-        blocks.append((0.0 + 0.0j, mult_a + mult_ma))
-    else:
-        if mult_a:
-            blocks.append((complex(a), mult_a))
-        if mult_ma:
-            blocks.append((-complex(a), mult_ma))
-    blocks.extend(core)
-    degenerate = any(m >= 2 for _, m in blocks)
-    roots = []
-    for r, m in blocks:
-        roots.extend([complex(r)] * m)
-    return GenuinenessReport(
-        "DEGENERATE" if degenerate else "GENUINE",
-        tuple((complex(r), int(m)) for r, m in blocks),
-        None,
-        tuple(roots),
+        "GENUINE" if distinct == config.N else "DEGENERATE", distinct, necessary
     )

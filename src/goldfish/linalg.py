@@ -78,7 +78,7 @@ def eigenvalues(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     try:
         return np.linalg.eigvals(a)
@@ -171,11 +171,11 @@ def integrate_ode(rhs, y0, t_span, tol=1e-10, t_eval=None, return_dense=False, o
     y = np.asarray(y0, dtype=complex)
     if y.ndim != 1:
         raise ValueError("y0 must be a flat vector")
-    if not np.all(np.isfinite(y.view(float))):
+    if not np.all(np.isfinite(y)):
         raise ValueError("y0 must be finite")
 
     f = np.asarray(rhs(t0, y), dtype=complex)
-    if f.shape != y.shape or not np.all(np.isfinite(f.view(float))):
+    if f.shape != y.shape or not np.all(np.isfinite(f)):
         raise ValueError("rhs is not finite on the initial state")
 
     # solve_ivp calls every event function on the initial state and after

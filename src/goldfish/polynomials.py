@@ -30,7 +30,6 @@ __all__ = [
     "IntegerPolynomial",
     "MonicPolynomial",
     "RootFindingError",
-    "cluster_roots",
     "coeff_velocities",
     "exact_binomial",
     "find_roots",
@@ -109,7 +108,7 @@ def find_roots(poly: MonicPolynomial, tol: float = 1e-12, max_iter: int = 500) -
     index-dependent phase offset to break symmetry.  Iteration stops once
     every residual satisfies ``|p(root)| <= tol * (1 + max|c_m|)``.
     Clusters of nearly coincident roots converge more slowly but are
-    legitimate output; use :func:`cluster_roots` to group them.
+    legitimate output.
     """
     n = poly.degree
     if n < 1:
@@ -148,25 +147,6 @@ def find_roots(poly: MonicPolynomial, tol: float = 1e-12, max_iter: int = 500) -
         f"root iteration did not converge within {max_iter} iterations "
         f"(max residual {float(np.max(np.abs(p))):.3e})"
     )
-
-
-def cluster_roots(roots, tol: float = 1e-8):
-    """Group roots closer than ``tol`` into (center, multiplicity) clusters."""
-    remaining = list(np.asarray(roots, dtype=complex))
-    clusters = []
-    while remaining:
-        seed = remaining.pop(0)
-        members = [seed]
-        changed = True
-        while changed:
-            changed = False
-            for r in remaining[:]:
-                if any(abs(r - m) <= tol for m in members):
-                    members.append(r)
-                    remaining.remove(r)
-                    changed = True
-        clusters.append((complex(np.mean(members)), len(members)))
-    return clusters
 
 
 def coeff_velocities(zeros, zero_velocities, conv: CoefficientConvention = PLAIN) -> np.ndarray:
@@ -257,29 +237,6 @@ class IntegerPolynomial:
         for a in reversed(self.coeffs):
             acc = acc * x + a
         return acc
-
-    def __add__(self, other: "IntegerPolynomial") -> "IntegerPolynomial":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return IntegerPolynomial(
-            tuple(
-                (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-                for i in range(n)
-            )
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, IntegerPolynomial):
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return IntegerPolynomial(tuple(out))
-        return IntegerPolynomial(tuple(a * Fraction(other) for a in self.coeffs))
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         if self.is_zero:

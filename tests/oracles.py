@@ -11,7 +11,10 @@ rational matrix per determinant node, one rational Lagrange basis at a
 time, a root scan that restarts after every root, a falling-factorial
 binomial, the conjectured product as a chain of ``Fraction`` polynomial
 products): the library runs the same computations on plain integers and
-must reproduce these results exactly.
+must reproduce these results exactly.  The polynomial sum and product
+the tests build expected polynomials with live here too, and so does the
+Sylvester determinant of ``P`` and ``P'``, the independent check of the
+library's squarefree genuineness test.
 
 The simulation path is kept here in its per-state form (particle
 accelerations read the spec's constants on every call, eigenvalue paths
@@ -29,6 +32,7 @@ library's trajectories, equilibria and tracked branches against them; a
 paper identity returns to the library only when a report uses it.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -410,49 +414,77 @@ def integer_roots(q: IntegerPolynomial):
     return sorted(roots), rem
 
 
+def poly_add(p: IntegerPolynomial, q: IntegerPolynomial) -> IntegerPolynomial:
+    """Coefficientwise sum of two exact polynomials."""
+    pairs = itertools.zip_longest(p.coeffs, q.coeffs, fillvalue=Fraction(0))
+    return IntegerPolynomial(tuple(x + y for x, y in pairs))
+
+
+def poly_mul(p: IntegerPolynomial, q: IntegerPolynomial) -> IntegerPolynomial:
+    """Schoolbook product of two exact polynomials."""
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return IntegerPolynomial(tuple(out))
+
+
 def conjecture_215_product(nu: int, mu: int, N: int) -> IntegerPolynomial:
     """The conjectured product, one ``Fraction`` polynomial product per
     linear factor (empty products are one)."""
-
-    def lin(root):
-        return IntegerPolynomial((-Fraction(root), Fraction(1)))
-
-    acc = IntegerPolynomial((Fraction(1),))
+    roots = []
     if nu == 0:
         for n in range(1, N - mu + 1):
-            acc = acc * lin(n) * lin(n + 1)
+            roots += [n, n + 1]
         for n in range(1, mu + 1):
-            acc = acc * lin(-n) * lin(5 - n)
+            roots += [-n, 5 - n]
     elif nu == 1:
-        acc = acc * lin(-1) * lin(4)
+        roots += [-1, 4]
         for n in range(1, N - mu + 1):
-            acc = acc * lin(n) * lin(n + 5)
+            roots += [n, n + 5]
         for n in range(1, mu):
-            acc = acc * lin(-n) * lin(7 - n)
+            roots += [-n, 7 - n]
     elif nu == 3:
-        acc = acc * lin(-1) * lin(4)
+        roots += [-1, 4]
         for n in range(1, N - mu + 1):
-            acc = acc * lin(n) * lin(n - 5)
+            roots += [n, n - 5]
         for n in range(1, mu):
-            acc = acc * lin(-n) * lin(n - mu + 7)
+            roots += [-n, n - mu + 7]
     elif nu == 4:
-        acc = acc * lin(-1)
+        roots += [-1]
         for n in range(1, 4):
-            acc = acc * lin(n + 1)
+            roots += [n + 1]
         for n in range(1, N - mu + 1):
-            acc = acc * lin(n) * lin(n - 1)
+            roots += [n, n - 1]
         for n in range(1, mu - 3):
-            acc = acc * lin(-n)
+            roots += [-n]
         for n in range(1, mu + 1):
-            acc = acc * lin(-n - 1)
+            roots += [-n - 1]
     elif nu == 5:
         for n in range(1, N - mu + 1):
-            acc = acc * lin(n) * lin(n + 1)
+            roots += [n, n + 1]
         for n in range(1, mu + 1):
-            acc = acc * lin(-n) * lin(n - mu + 4)
+            roots += [-n, n - mu + 4]
     else:
         raise ValueError(f"no conjectured product for nu = {nu}")
+    acc = IntegerPolynomial((Fraction(1),))
+    for r in roots:
+        acc = poly_mul(acc, IntegerPolynomial((-Fraction(r), Fraction(1))))
     return acc
+
+
+def discriminant_vanishes(cbar) -> bool:
+    """Whether ``P = (1, c_1, .., c_N)``, read as a descending polynomial,
+    has a repeated zero: the determinant of the Sylvester matrix of ``P``
+    and ``P'`` (their resultant), by :func:`bareiss_det`, is zero."""
+    P = [Fraction(1), *map(Fraction, cbar)]
+    N = len(P) - 1
+    dP = [(N - k) * x for k, x in enumerate(P[:-1])]
+    size = 2 * N - 1
+    rows = [[Fraction(0)] * k + P + [Fraction(0)] * (N - 2 - k) for k in range(N - 1)]
+    rows += [[Fraction(0)] * k + dP + [Fraction(0)] * (N - 1 - k) for k in range(N)]
+    assert all(len(row) == size for row in rows)
+    return bareiss_det(rows) == 0
 
 
 # ---------------------------------------------------------------------------

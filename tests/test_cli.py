@@ -79,6 +79,14 @@ def test_equilibria_table(tmp_path):
     assert (0, 0) in cells and (1, 3) in cells and (3, 3) in cells
 
 
+def test_equilibria_altgold_table_n12(tmp_path):
+    out = tmp_path / "eq.json"
+    assert run(["equilibria", "--altgold", "--n", "12", "--json", str(out)]) == 0
+    rows = json.loads(out.read_text())["results"]
+    assert all(r["residual_zero"] for r in rows)
+    assert {r["genuineness"] for r in rows} == {"GENUINE", "DEGENERATE"}
+
+
 def test_conjecture_counterexample_exit_code(tmp_path):
     out = tmp_path / "c.json"
     code = run(["conjecture", "--which", "c215", "--nu", "3", "--mu", "3", "--n", "3", "--json", str(out)])

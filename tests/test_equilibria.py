@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import oracles
@@ -272,7 +271,8 @@ def test_genuineness_triple_root_fails_necessary_condition():
     cfg = [c for c in enumerate_iso_equilibria(3) if (c.nu, c.mu) == (0, 3)][0]
     rep = genuineness_check(cfg)
     assert rep.verdict == "DEGENERATE"
-    assert rep.multiplicities == ((1j, 3),)
+    # psi = (z - i)^3 in the TILDE convention: one root, at i
+    assert rep.distinct_roots == 1 and cfg.cbar == (-3, 3, -1)
     assert rep.necessary_condition_met is False
 
 
@@ -295,3 +295,48 @@ def test_genuineness_altgold_quadratic_double_root():
     ]
     rep = genuineness_check(cfgs[0])
     assert rep.verdict == "DEGENERATE"
+
+
+def test_genuineness_tail_family_c0_triple_root():
+    # psi = z^5 - 10/3 z^3 + 5 z + 8/3 = (z + 1)^3 (z^2 - 3 z + 8/3)
+    cfg = [
+        c
+        for c in enumerate_altgold_equilibria(5, Fraction(1), free_samples=(Fraction(0),))
+        if c.family is Family.ALTGOLD_NU5PLUS
+    ][0]
+    assert cfg.cbar == (0, Fraction(-10, 3), 0, 5, Fraction(8, 3))
+    rep = genuineness_check(cfg)
+    assert rep.verdict == "DEGENERATE" and rep.distinct_roots == 3
+    assert rep.necessary_condition_met is None
+
+
+def test_genuineness_tail_family_at_zero_shift():
+    # at a = 0 the tail bracket is z^nu, whatever the free constant
+    cfgs = [
+        c
+        for c in enumerate_altgold_equilibria(5, Fraction(0))
+        if c.family is Family.ALTGOLD_NU5PLUS
+    ]
+    assert len(cfgs) == len(DEFAULT_FREE_SAMPLES)
+    for cfg in cfgs:
+        assert cfg.cbar == (0,) * 5
+        rep = genuineness_check(cfg)
+        assert rep.verdict == "DEGENERATE" and rep.distinct_roots == 1
+
+
+def test_genuineness_equals_discriminant_oracle_on_grid():
+    """The squarefree test and the Sylvester-determinant oracle give the
+    same verdict on every configuration with N <= 8."""
+    configs = []
+    for N in range(1, 9):
+        configs += enumerate_iso_equilibria(N, include_resonant=True)
+        for a in (Fraction(1), Fraction(1, 2), Fraction(0)):
+            configs += enumerate_altgold_equilibria(N, a)
+    assert len(configs) == 1023
+    degenerate = 0
+    for cfg in configs:
+        rep = genuineness_check(cfg)
+        assert (rep.verdict == "DEGENERATE") == oracles.discriminant_vanishes(cfg.cbar), cfg
+        assert (rep.distinct_roots == cfg.N) == (rep.verdict == "GENUINE")
+        degenerate += rep.verdict == "DEGENERATE"
+    assert 0 < degenerate < len(configs)

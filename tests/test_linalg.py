@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from goldfish.dynamics import ParticleState
 from goldfish.linalg import (
     AmbiguousTrackingError,
     MovableSingularityError,
@@ -42,6 +43,31 @@ def test_eigenvalues_input_validation():
         eigenvalues(np.ones((2, 3)))
     with pytest.raises(ValueError):
         eigenvalues(np.array([[np.nan, 0], [0, 1]]))
+
+
+def test_finiteness_checks_accept_strided_input():
+    a = np.arange(6).reshape(3, 2) * (1 + 0.5j)
+    m = np.array([[1.0, 2j], [0.5, -1.0]]) * (1 + 1j)
+    assert multiset_dev(eigenvalues(m.T), eigenvalues(m)) < 1e-14
+    traj = integrate_ode(lambda t, y: 1j * y, a[:, 0], (0.0, 1.0))
+    assert np.max(np.abs(traj.states[-1] - a[:, 0] * np.exp(1j))) < 1e-8
+    state = ParticleState(a[:, 0], a[:, 1])
+    assert np.array_equal(state.z, a[:, 0]) and np.array_equal(state.zdot, a[:, 1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf), complex(np.nan, 1)])
+def test_finiteness_checks_reject_non_finite_input(bad):
+    y = np.array([1.0, bad], dtype=complex)
+    with pytest.raises(ValueError):
+        eigenvalues(np.diag(y))
+    with pytest.raises(ValueError):
+        integrate_ode(lambda t, v: v, y, (0.0, 1.0))
+    with pytest.raises(ValueError):
+        integrate_ode(lambda t, v: y, np.ones(2, dtype=complex), (0.0, 1.0))
+    with pytest.raises(ValueError):
+        ParticleState(y, np.zeros(2))
+    with pytest.raises(ValueError):
+        ParticleState(np.zeros(2), y)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
