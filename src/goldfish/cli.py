@@ -299,12 +299,9 @@ def cmd_equilibria(args) -> int:
 
 def cmd_spectrum(args) -> int:
     samples = _parse_fraction_list(args.free) if args.free else None
+    mu, perturb_c1 = _parse_fraction(args.mu), _parse_fraction(args.perturb_c1)
     rep = spectrum.verify_integrality(
-        args.nu,
-        _parse_fraction(args.mu),
-        args.n,
-        free_samples=samples,
-        perturb_c1=_parse_fraction(args.perturb_c1),
+        args.nu, mu, args.n, free_samples=samples, perturb_c1=perturb_c1
     )
     results = {
         "all_integers": rep.all_integers,
@@ -320,10 +317,9 @@ def cmd_spectrum(args) -> int:
         ],
     }
     if args.numeric:
-        cb = equilibria.cbar_closed_form(
-            args.nu, _parse_fraction(args.mu), args.n, rep.samples[0].free
-        )
-        eigs = spectrum.solve_pencil_numeric(spectrum.build_pencil(cb))
+        # the first sample's pencil, c_1 shift included, as the exact route built it
+        _, pencil, _ = next(spectrum._cell_pencils(args.nu, mu, args.n, samples, perturb_c1))
+        eigs = spectrum.solve_pencil_numeric(pencil)
         order = np.lexsort((eigs.imag, eigs.real))
         results["numeric_eigenvalues"] = [complex(e) for e in eigs[order]]
     report = reports.make_report("spectrum", _echo_args(args), results)

@@ -10,23 +10,26 @@ obey a two-term recurrence that is solvable only for
 ``nu in {0, 1, 3, 4, 5}`` (``nu = 2`` fails at the normalisation step and
 ``nu >= 6`` hits a contradictory constraint, which
 :func:`phi_recursion_obstruction` exhibits).  In the TILDE coefficient
-convention the factor sequences convolve over plain rationals, so the
-whole expansion stays exact.
+convention ``c_1..c_N`` are the coefficients of the one series
+``phi(x) (1 - x)^(mu - nu)`` up to ``x^N``, exact for any rational
+``mu``: every isochronous equilibrium, rational ``mu`` and the resonant
+``nu = 8`` branch included, comes from the core recurrence this way.
 
-For the rational-time system the same construction runs over the factors
-``(z - a)`` and ``(z + a)`` in the plain convention; three families cover
-all equilibria: a binomial one and two carrying a free constant.
+For the rational-time system each of the three families is
+``inner(z) (z - a)^mu (z + a)^(N - mu - deg inner)`` in the plain
+convention: a binomial one (``inner = 1``) and two carrying a free
+constant.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import _iso_bracket, _rational_bracket
-from .polynomials import exact_binomial
 
 __all__ = [
     "EquilibriumConfig",
@@ -111,14 +114,6 @@ def _pow(base, k: int):
     return acc
 
 
-def _add(p, q):
-    # align constant terms (lists are descending in power)
-    n = max(len(p), len(q))
-    pp = [Fraction(0)] * (n - len(p)) + list(p)
-    qq = [Fraction(0)] * (n - len(q)) + list(q)
-    return [a + b for a, b in zip(pp, qq)]
-
-
 def _gcd_degree(p, q) -> int:
     """Degree of ``gcd(p, q)`` by Euclid over the rationals (descending
     coefficient lists with nonzero leading coefficients)."""
@@ -158,6 +153,18 @@ def _phi_factor(nu: int, m: int) -> Fraction:
     return Fraction(m - nu - 1) * (Fraction(m) + Fraction(3 * nu, 2 - nu))
 
 
+def _phi_coefficients(nu: int, c, top: int) -> list[Fraction]:
+    """``phi_0..phi_top`` by the core recurrence; the free ``phi_5`` is
+    ``-(1 + c)`` at ``nu = 5`` and ``c`` above it."""
+    phi = [Fraction(1)]
+    for m in range(1, top + 1):
+        if m == 5:
+            phi.append(-(1 + Fraction(c)) if nu == 5 else Fraction(c))
+        else:
+            phi.append(_phi_factor(nu, m) * phi[m - 1] / (m * (m - 5)))
+    return phi
+
+
 def solve_phi_recursion(nu: int, c: Fraction = Fraction(0)) -> RecursionSolution:
     """Coefficients of the degree-``nu`` isochronous core polynomial.
 
@@ -165,7 +172,7 @@ def solve_phi_recursion(nu: int, c: Fraction = Fraction(0)) -> RecursionSolution
     with ``phi_0 = 1`` pins every coefficient for ``nu in {0, 1, 3, 4}``;
     ``nu = 5`` leaves ``phi_5`` free, parametrised here as
     ``phi_5 = -(1 + c)`` so that ``c`` is the free constant of the
-    matching binomial closed form; ``nu = 2`` breaks the normalisation.
+    ``nu = 5`` equilibrium cells; ``nu = 2`` breaks the normalisation.
     The recurrence is contradictory for all larger degrees except the
     resonant ``nu = 8``, where the right side vanishes at ``m = 4`` and a
     free tail opens up (``phi_5 = c`` here); the resulting equilibria are
@@ -180,13 +187,7 @@ def solve_phi_recursion(nu: int, c: Fraction = Fraction(0)) -> RecursionSolution
             f"no degree-{nu} core polynomial: at m = {m} the recurrence "
             f"demands {lhs} * phi_{m} = {rhs} with zero left coefficient"
         )
-    phi = [Fraction(1)]
-    for m in range(1, nu + 1):
-        if m == 5:
-            phi.append(-(1 + Fraction(c)) if nu == 5 else Fraction(c))
-            continue
-        phi.append(_phi_factor(nu, m) * phi[m - 1] / Fraction(m * (m - 5)))
-    return RecursionSolution(nu, tuple(phi))
+    return RecursionSolution(nu, tuple(_phi_coefficients(nu, c, nu)))
 
 
 def phi_recursion_obstruction(nu: int):
@@ -199,11 +200,8 @@ def phi_recursion_obstruction(nu: int):
     """
     if nu < 6 or nu == 2:
         raise ValueError("an obstruction exists only for nu >= 6")
-    phi = [Fraction(1)]
-    for m in range(1, 5):
-        phi.append(_phi_factor(nu, m) * phi[m - 1] / Fraction(m * (m - 5)))
     m = 5
-    rhs = _phi_factor(nu, m) * phi[4]
+    rhs = _phi_factor(nu, m) * _phi_coefficients(nu, 0, m - 1)[-1]
     if rhs == 0:
         raise ResonantBranchError(
             f"degree {nu} carries no obstruction: the recurrence right side "
@@ -216,59 +214,44 @@ def phi_recursion_obstruction(nu: int):
 # isochronous equilibria
 
 
+def _iso_series(nu: int, mu, N: int, c) -> tuple[Fraction, ...]:
+    """``c_1..c_N``: the coefficients of ``phi_{nu,c}(x) (1 - x)^(mu - nu)``
+    up to ``x^N``, the TILDE-stripped form of
+    ``phi(z) (z - i)^(mu - nu) z^(N - mu)``.
+
+    The binomial series is exact for any rational ``mu``; for integer
+    ``mu >= nu`` it ends on its own after ``x^(mu - nu)``, which gives the
+    ``z^(N - mu)`` padding.
+    """
+    phi = solve_phi_recursion(nu, c).coefficients
+    r = Fraction(mu) - nu
+    binom = [Fraction(1)]  # binom[j]: coefficient of x^j in (1 - x)^r
+    for j in range(1, N + 1):
+        binom.append(binom[-1] * (j - 1 - r) / j)
+    return tuple(
+        sum(phi[k] * binom[m - k] for k in range(min(m, nu) + 1)) for m in range(1, N + 1)
+    )
+
+
 def cbar_closed_form(nu: int, mu, N: int, c: Fraction = Fraction(0)):
-    """Equilibrium coefficients ``c_1..c_N`` from the binomial closed forms.
+    """Equilibrium coefficients ``c_1..c_N`` of the ``(nu, mu)`` cell.
 
     ``mu`` may be any rational for the spectral sweeps; the standard
     enumeration uses integers ``nu <= mu <= N``.
     """
-    mu = Fraction(mu)
-    out = []
-    for m in range(1, N + 1):
-        sign = Fraction(-1) ** m
-        if nu == 0:
-            val = exact_binomial(mu, m)
-        elif nu == 1:
-            if mu == 1:
-                out.append(Fraction(1) if m == 1 else Fraction(0))
-                continue
-            val = exact_binomial(mu - 2, m) - exact_binomial(mu - 2, m - 2)
-        elif nu == 3:
-            val = (
-                exact_binomial(mu - 3, m)
-                + 6 * exact_binomial(mu - 3, m - 1)
-                + 14 * exact_binomial(mu - 3, m - 2)
-                + 14 * exact_binomial(mu - 3, m - 3)
-            )
-        elif nu == 4:
-            val = sum(
-                exact_binomial(mu - 4, m - k) * math.comb(5, k) for k in range(5)
-            )
-        elif nu == 5:
-            val = Fraction(c) * exact_binomial(mu - 5, m - 5) + sum(
-                exact_binomial(mu - 5, m - k) * math.comb(5, k) for k in range(6)
-            )
-        else:
-            raise ValueError(f"nu must be one of {ISO_NU_VALUES}, got {nu}")
-        out.append(sign * val)
-    return tuple(out)
+    if nu not in ISO_NU_VALUES:
+        raise ValueError(f"nu must be one of {ISO_NU_VALUES}, got {nu}")
+    return _iso_series(nu, mu, N, c)
 
 
 def expand_iso_psi(nu: int, mu: int, N: int, c: Fraction = Fraction(0)):
-    """Equilibrium coefficients by exact expansion of the factored
-    equilibrium polynomial ``phi(z) (z - i)^(mu-nu) z^(N-mu)``.
-
-    Works on the TILDE-stripped sequences, which convolve over plain
-    rationals: ``phi`` contributes its recurrence coefficients and each
-    ``(z - i)`` factor contributes ``(1, -1)``.
+    """Equilibrium coefficients of the factored equilibrium polynomial
+    ``phi(z) (z - i)^(mu-nu) z^(N-mu)`` for integers ``0 <= nu <= mu <= N``,
+    the resonant ``nu = 8`` included.
     """
     if not (0 <= nu <= mu <= N):
         raise ValueError("need 0 <= nu <= mu <= N")
-    phi = list(solve_phi_recursion(nu, c).coefficients)
-    seq = _conv(phi, _pow([Fraction(1), Fraction(-1)], mu - nu))
-    seq = seq + [Fraction(0)] * (N - mu)
-    assert seq[0] == 1 and len(seq) == N + 1
-    return tuple(seq[1:])
+    return _iso_series(nu, operator.index(mu), N, c)
 
 
 def enumerate_iso_equilibria(N: int, free_samples=DEFAULT_FREE_SAMPLES, include_resonant=False):
@@ -302,34 +285,34 @@ def expand_altgold_psi(family: Family, N: int, a, mu: int, nu: int = 0, c=Fracti
     factored families of the rational-time system."""
     a = Fraction(a)
     c = Fraction(c)
-    zma = [Fraction(1), -a]
     zpa = [Fraction(1), a]
     if family is Family.ALTGOLD_BINOMIAL:
         if not 0 <= mu <= N:
             raise ValueError("binomial family needs 0 <= mu <= N")
-        seq = _conv(_pow(zma, mu), _pow(zpa, N - mu))
+        inner = [Fraction(1)]
     elif family is Family.ALTGOLD_NU2:
         if N < 2 or not 0 <= mu <= N - 2:
             raise ValueError("quadratic family needs N >= 2 and 0 <= mu <= N - 2")
-        quad = [Fraction(1), c, (c * c - a * a) / 3]
-        seq = _conv(quad, _conv(_pow(zma, mu), _pow(zpa, N - 2 - mu)))
+        inner = [Fraction(1), c, (c * c - a * a) / 3]
     elif family is Family.ALTGOLD_NU5PLUS:
         if not (5 <= nu <= N and 0 <= mu <= N - nu):
             raise ValueError("tail family needs 5 <= nu <= N and 0 <= mu <= N - nu")
-        bracket = _pow(zpa, nu)  # times 1
-        bracket = _add(bracket, _conv([-nu * a], _pow(zpa, nu - 1)))
-        bracket = _add(bracket, _conv([Fraction(nu * (nu - 1), 3) * a * a], _pow(zpa, nu - 2)))
-        for e in range(nu - 5 + 1):
-            w = (
-                c
-                * Fraction((-2) ** e, (e + 5) * (e + 4) * (e + 3))
-                * exact_binomial(nu - 5, e)
-                * a ** (e + 5)
-            )
-            bracket = _add(bracket, _conv([w], _pow(zpa, nu - 5 - e)))
-        seq = _conv(_pow(zma, mu), _conv(_pow(zpa, N - mu - nu), bracket))
+        # sum_j beta_j (z + a)^(nu - j), by Horner in (z + a)
+        betas = [-nu * a, Fraction(nu * (nu - 1), 3) * a * a, 0, 0] + [
+            c
+            * Fraction((-2) ** e, (e + 5) * (e + 4) * (e + 3))
+            * math.comb(nu - 5, e)
+            * a ** (e + 5)
+            for e in range(nu - 4)
+        ]
+        inner = [Fraction(1)]
+        for beta in betas:
+            inner = _conv(inner, zpa)
+            inner[-1] += beta
     else:
         raise ValueError(f"not a rational-time family: {family}")
+    outer = _conv(_pow([Fraction(1), -a], mu), _pow(zpa, N - mu - (len(inner) - 1)))
+    seq = _conv(inner, outer)
     assert seq[0] == 1 and len(seq) == N + 1
     return tuple(seq[1:])
 

@@ -31,7 +31,6 @@ __all__ = [
     "MonicPolynomial",
     "RootFindingError",
     "coeff_velocities",
-    "exact_binomial",
     "find_roots",
     "from_roots",
     "integer_roots",
@@ -179,27 +178,6 @@ def coeff_velocities(zeros, zero_velocities, conv: CoefficientConvention = PLAIN
 
 def _as_fraction(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
-
-
-def exact_binomial(x, k: int) -> Fraction:
-    """Binomial coefficient ``x (x - 1) ... (x - k + 1) / k!``, exact for
-    rational ``x``; zero for negative ``k``.
-
-    Integer ``x`` goes through :func:`math.comb`, negative ``x`` by
-    ``binom(x, k) = (-1)^k comb(k - x - 1, k)``.
-    """
-    if k < 0:
-        return Fraction(0)
-    x = _as_fraction(x)
-    if x.denominator == 1:
-        n = x.numerator
-        if n >= 0:
-            return Fraction(math.comb(n, k))
-        return Fraction((-1) ** k * math.comb(k - n - 1, k))
-    num = Fraction(1)
-    for j in range(k):
-        num *= x - j
-    return num / math.factorial(k)
 
 
 @dataclass(frozen=True)

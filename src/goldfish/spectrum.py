@@ -171,6 +171,17 @@ def _nu5_samples(nu: int, free_samples):
     return tuple(Fraction(c) for c in (free_samples or DEFAULT_NU5_SAMPLES))
 
 
+def _cell_pencils(nu: int, mu, N: int, free_samples, perturb_c1=Fraction(0)):
+    """Yield ``(free constant, pencil, exact charpoly)`` for each sample of
+    one cell, with ``c_1`` shifted by ``perturb_c1`` (the negative control)."""
+    for cval in _nu5_samples(nu, free_samples):
+        cb = list(cbar_closed_form(nu, mu, N, cval))
+        if cb:  # build_pencil rejects the empty one
+            cb[0] += Fraction(perturb_c1)
+        pencil = build_pencil(cb)
+        yield cval, pencil, pencil_charpoly_exact(pencil.A, pencil.B)
+
+
 def verify_integrality(
     nu: int,
     mu,
@@ -188,11 +199,7 @@ def verify_integrality(
     """
     samples = []
     ok = True
-    for cval in _nu5_samples(nu, free_samples):
-        cb = list(cbar_closed_form(nu, mu, N, cval))
-        cb[0] += Fraction(perturb_c1)
-        pencil = build_pencil(cb)
-        poly = pencil_charpoly_exact(pencil.A, pencil.B)
+    for cval, _, poly in _cell_pencils(nu, mu, N, free_samples, perturb_c1):
         roots, rem = integer_roots(poly)
         all_int = len(roots) == 2 * N and rem.coeffs == (Fraction(1),)
         ok = ok and all_int
@@ -326,10 +333,7 @@ def verify_conjectures(which: str, nu: int, mu, N: int, free_samples=None, tol: 
         product = conjecture_215_product(nu, mu, N)
         counterexamples = []
         charpoly = None
-        for cval in _nu5_samples(nu, free_samples):
-            cb = cbar_closed_form(nu, mu, N, cval)
-            pencil = build_pencil(cb)
-            poly = pencil_charpoly_exact(pencil.A, pencil.B)
+        for cval, _, poly in _cell_pencils(nu, mu, N, free_samples):
             if charpoly is None:
                 charpoly = poly
             if poly.coeffs != product.coeffs:

@@ -8,10 +8,13 @@ oracle for every derived consumer.
 
 The exact spectral kernels are kept here in their ``Fraction`` form (a
 rational matrix per determinant node, one rational Lagrange basis at a
-time, a root scan that restarts after every root, a falling-factorial
-binomial, the conjectured product as a chain of ``Fraction`` polynomial
-products): the library runs the same computations on plain integers and
-must reproduce these results exactly.  The polynomial sum and product
+time, a root scan that restarts after every root, the conjectured
+product as a chain of ``Fraction`` polynomial products): the library runs
+the same computations on plain integers and must reproduce these results
+exactly.  The isochronous equilibria are kept here as the paper's
+binomial closed forms, one per core degree, over a falling-factorial
+binomial: the library derives every one of them from the core recurrence
+as a single series.  The polynomial sum and product
 the tests build expected polynomials with live here too, and so does the
 Sylvester determinant of ``P`` and ``P'``, the independent check of the
 library's squarefree genuineness test.
@@ -288,6 +291,37 @@ def exact_binomial(x, k: int) -> Fraction:
     for j in range(k):
         num *= x - j
     return num / math.factorial(k)
+
+
+def iso_closed_form(nu: int, mu, N: int, c=Fraction(0)):
+    """Isochronous equilibrium coefficients ``c_1..c_N`` (TILDE) from the
+    paper's binomial closed forms, one per core degree, for any rational
+    ``mu`` (the ``nu = 5`` free constant ``c`` enters with ``phi_5 = -(1 + c)``)."""
+    mu = Fraction(mu)
+    B = exact_binomial
+    out = []
+    for m in range(1, N + 1):
+        if nu == 0:
+            val = B(mu, m)
+        elif nu == 1:
+            val = B(mu - 2, m) - B(mu - 2, m - 2)
+        elif nu == 3:
+            val = (
+                B(mu - 3, m)
+                + 6 * B(mu - 3, m - 1)
+                + 14 * B(mu - 3, m - 2)
+                + 14 * B(mu - 3, m - 3)
+            )
+        elif nu == 4:
+            val = sum(B(mu - 4, m - k) * math.comb(5, k) for k in range(5))
+        elif nu == 5:
+            val = Fraction(c) * B(mu - 5, m - 5) + sum(
+                B(mu - 5, m - k) * math.comb(5, k) for k in range(6)
+            )
+        else:
+            raise ValueError(f"no closed form for nu = {nu}")
+        out.append((-1) ** m * val)
+    return tuple(out)
 
 
 def bareiss_det(rows) -> Fraction:

@@ -1,10 +1,12 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from goldfish.cli import main
 from goldfish.reports import write_trajectory_csv, write_trajectory_svg
+from goldfish.spectrum import verify_integrality
 
 
 def run(argv):
@@ -31,6 +33,31 @@ def test_spectrum_command_hand_cell(tmp_path):
     sample = report["results"]["samples"][0]
     assert sample["integer_roots"] == [-1, 1, 2, 4]
     assert report["results"]["all_integers"] is True
+
+
+@pytest.mark.parametrize("perturb", ["0", "1/2"])
+def test_spectrum_numeric_solves_the_reported_pencil(tmp_path, perturb):
+    """Every numeric eigenvalue is a root of the reported exact charpoly,
+    also when --perturb-c1 shifts the cell off its equilibrium."""
+    out = tmp_path / "report.json"
+    argv = ["spectrum", "--nu", "0", "--mu", "1", "--n", "2", "--perturb-c1", perturb]
+    assert run(argv + ["--numeric", "--json", str(out)]) == (0 if perturb == "0" else 1)
+    results = json.loads(out.read_text())["results"]
+    poly = verify_integrality(0, 1, 2, perturb_c1=Fraction(perturb)).samples[0].charpoly
+    assert str(poly) == results["samples"][0]["charpoly"]
+    eigs = [complex(re, im) for re, im in results["numeric_eigenvalues"]]
+    assert len(eigs) == 4
+    for lam in eigs:
+        value = sum(float(c) * lam**k for k, c in enumerate(poly.coeffs))
+        scale = sum(abs(float(c)) * abs(lam) ** k for k, c in enumerate(poly.coeffs))
+        assert abs(value) <= 1e-9 * scale, (lam, value)
+
+
+@pytest.mark.parametrize("perturb", ["0", "1/2"])
+def test_spectrum_rejects_empty_cell(capsys, perturb):
+    code = run(["spectrum", "--nu", "0", "--mu", "0", "--n", "0", "--perturb-c1", perturb])
+    assert code == 2
+    assert capsys.readouterr().err == "error: need at least one coefficient\n"
 
 
 def test_simulate_csv_contract(tmp_path, capsys):

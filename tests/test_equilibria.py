@@ -144,13 +144,27 @@ def test_binomial_example_cell():
     assert expand_iso_psi(0, 2, 3) == (Fraction(-2), Fraction(1), Fraction(0))
 
 
+def test_expand_iso_psi_needs_integer_mu():
+    # rational mu is cbar_closed_form's; the factored form has integer exponents
+    with pytest.raises(TypeError):
+        expand_iso_psi(0, Fraction(1, 2), 3)
+
+
 def test_closed_form_agreement_up_to_twelve():
+    """The one series behind both isochronous entry points reproduces the
+    paper's binomial closed forms exactly, on integer and rational mu."""
+    rational_mus = (Fraction(-5, 2), Fraction(1, 3), Fraction(1, 2), Fraction(7, 3))
     for N in range(1, 13):
         for nu in (0, 1, 3, 4, 5):
-            for mu in range(nu, N + 1):
-                samples = (Fraction(0), Fraction(-2), Fraction(7)) if nu == 5 else (Fraction(0),)
-                for c in samples:
-                    assert cbar_closed_form(nu, mu, N, c) == expand_iso_psi(nu, mu, N, c)
+            samples = (Fraction(0), Fraction(-2), Fraction(7)) if nu == 5 else (Fraction(0),)
+            for c in samples:
+                for mu in range(nu, N + 1):
+                    want = oracles.iso_closed_form(nu, mu, N, c)
+                    assert cbar_closed_form(nu, mu, N, c) == want, (nu, mu, N, c)
+                    assert expand_iso_psi(nu, mu, N, c) == want, (nu, mu, N, c)
+                for mu in rational_mus + (N + Fraction(1, 2),):
+                    want = oracles.iso_closed_form(nu, mu, N, c)
+                    assert cbar_closed_form(nu, mu, N, c) == want, (nu, mu, N, c)
 
 
 def test_iso_residuals_exactly_zero():

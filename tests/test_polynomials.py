@@ -12,7 +12,6 @@ from goldfish.polynomials import (
     MonicPolynomial,
     TILDE,
     coeff_velocities,
-    exact_binomial,
     find_roots,
     from_roots,
     integer_roots,
@@ -292,20 +291,3 @@ def test_pencil_charpoly_equals_oracle_on_random_rationals(pencil):
     poly = pencil_charpoly_exact(A, B)
     assert poly == oracles.charpoly(A, B)
     assert integer_roots(poly) == oracles.integer_roots(poly)
-
-
-def test_exact_binomial_equals_falling_factorial():
-    for x in range(-20, 21):
-        for k in range(-1, 13):
-            got = exact_binomial(x, k)
-            assert type(got) is Fraction and got == oracles.exact_binomial(x, k), (x, k)
-            assert exact_binomial(Fraction(x), k) == got
-    for x in (Fraction(1, 2), Fraction(-7, 3), Fraction(22, 5), Fraction(-1, 9)):
-        for k in range(-1, 13):
-            assert exact_binomial(x, k) == oracles.exact_binomial(x, k), (x, k)
-
-
-def test_exact_binomial_rational_argument():
-    assert exact_binomial(Fraction(1, 2), 2) == Fraction(-1, 8)
-    assert exact_binomial(5, 2) == 10
-    assert exact_binomial(3, -1) == 0
