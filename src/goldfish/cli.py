@@ -7,7 +7,8 @@ trajectories serialise to CSV and optionally to a static SVG of the
 complex-plane curves.
 
 Exit codes: 0 success / verified, 1 verification or runtime failure
-(for instance a conjecture counterexample), 2 usage or validation error.
+(for instance a conjecture counterexample), 2 usage or validation error
+(an output path that cannot be written included).
 ``GOLDFISH_THREADS`` caps the sweep worker pool.
 """
 
@@ -90,28 +91,18 @@ def _emit(args, report: dict) -> None:
 # simulate
 
 
-_PARTICLE_SYSTEMS = {
-    "gold": System.GOLD,
-    "isogold": System.ISOGOLD,
-    "general-gold": System.GENERAL_GOLD,
-    "rcm": System.RCM,
-    "veselov": System.VESELOV,
+# command-line names: the enum values, hyphenated
+_SYSTEMS = {s.value.replace("_", "-"): s for s in System}
+# the particle system whose initial data starts each matrix flow
+_MATRIX_PARTICLE = {
+    System.MATRIX_U: System.GOLD,
+    System.MATRIX_UTILDE: System.ISOGOLD,
+    System.MATRIX_GENERAL: System.VESELOV,
 }
-_COEFF_SYSTEMS = {
-    "altgold": System.ALTGOLD,
-    "altisogold": System.ALTISOGOLD,
-    "gammatau": System.GAMMATAU,
-}
-_MATRIX_SYSTEMS = {
-    "matrix-u": System.MATRIX_U,
-    "matrix-utilde": System.MATRIX_UTILDE,
-    "matrix-general": System.MATRIX_GENERAL,
-}
-_ALL_SYSTEMS = {**_PARTICLE_SYSTEMS, **_COEFF_SYSTEMS, **_MATRIX_SYSTEMS}
 
 
 def _build_spec(args) -> ModelSpec:
-    system = _ALL_SYSTEMS[args.system]
+    system = _SYSTEMS[args.system]
     kwargs = {}
     if args.system == "general-gold":
         for name in ("alpha", "beta", "gamma"):
@@ -130,7 +121,7 @@ def _build_spec(args) -> ModelSpec:
 
 
 def _initial_state(args, spec: ModelSpec):
-    if args.system in _COEFF_SYSTEMS:
+    if spec.system in dynamics._COEFFICIENT:
         if not args.c0:
             raise UsageError("coefficient systems need --c0 (repeatable, one per index)")
         c = np.array([_parse_complex(x) for x in args.c0])
@@ -149,19 +140,11 @@ def _initial_state(args, spec: ModelSpec):
     if z.size != spec.N or v.size != spec.N:
         raise UsageError(f"need exactly {spec.N} particle values")
     state = ParticleState(z, v)
-    if args.system in _MATRIX_SYSTEMS:
-        mspec = ModelSpec(
-            System.GOLD
-            if args.system == "matrix-u"
-            else System.ISOGOLD
-            if args.system == "matrix-utilde"
-            else System.VESELOV,
-            spec.N,
-            a2=spec.a2,
-            g=spec.g,
-            phi_poly=spec.phi_poly,
+    if spec.system in dynamics._MATRIX:
+        pspec = ModelSpec(
+            _MATRIX_PARTICLE[spec.system], spec.N, a2=spec.a2, g=spec.g, phi_poly=spec.phi_poly
         )
-        return dynamics.build_matrix_initial_data(mspec, state)
+        return dynamics.build_matrix_initial_data(pspec, state)
     return state
 
 
@@ -177,7 +160,7 @@ def cmd_simulate(args) -> int:
         tol=args.tol,
         time_path="trick" if args.trick_path else None,
     )
-    if args.system in _MATRIX_SYSTEMS:
+    if spec.system in dynamics._MATRIX:
         paths = dynamics.eigenvalue_paths(result)
         values = paths.paths.T
         velocities = None
@@ -185,7 +168,7 @@ def cmd_simulate(args) -> int:
     else:
         values = result.values
         velocities = result.velocities if args.full_state else None
-        label = "c" if args.system in _COEFF_SYSTEMS else "z"
+        label = "c" if spec.system in dynamics._COEFFICIENT else "z"
     text = reports.write_trajectory_csv(
         result.trajectory.times, values, args.csv, label=label, velocities=velocities
     )
@@ -318,8 +301,7 @@ def cmd_spectrum(args) -> int:
     }
     if args.numeric:
         # the first sample's pencil, c_1 shift included, as the exact route built it
-        _, pencil, _ = next(spectrum._cell_pencils(args.nu, mu, args.n, samples, perturb_c1))
-        eigs = spectrum.solve_pencil_numeric(pencil)
+        eigs = spectrum.solve_pencil_numeric(rep.samples[0].pencil)
         order = np.lexsort((eigs.imag, eigs.real))
         results["numeric_eigenvalues"] = [complex(e) for e in eigs[order]]
     report = reports.make_report("spectrum", _echo_args(args), results)
@@ -550,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="integrate one system and emit a trajectory CSV")
-    _add_model_flags(p, _ALL_SYSTEMS)
+    _add_model_flags(p, _SYSTEMS)
     _add_state_flags(p)
     p.add_argument("--t-start", type=float, default=0.0)
     p.add_argument("--t-end", type=float, default=1.0)
@@ -637,10 +619,7 @@ def main(argv=None) -> int:
     args._t0 = time.perf_counter()
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
-    except (ValueError, TypeError) as exc:
+    except (UsageError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except (

@@ -28,10 +28,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .linalg import (
-    AmbiguousTrackingError,
     TrackedPaths,
     Trajectory,
-    _match_step,
+    _walk,
     eigenvalues,
     integrate_ode,
     track_trajectories,
@@ -40,6 +39,7 @@ from .polynomials import (
     PLAIN,
     TILDE,
     MonicPolynomial,
+    _horner,
     coeff_velocities,
     find_roots,
     from_roots,
@@ -91,15 +91,7 @@ _PARTICLE = {System.GOLD, System.ISOGOLD, System.GENERAL_GOLD, System.RCM, Syste
 _COEFFICIENT = {System.ALTGOLD, System.ALTISOGOLD, System.GAMMATAU}
 _MATRIX = {System.MATRIX_U, System.MATRIX_UTILDE, System.MATRIX_GENERAL}
 # systems with a matrix companion usable by the spectral method
-_SPECTRAL_OK = {
-    System.GOLD,
-    System.ISOGOLD,
-    System.GENERAL_GOLD,
-    System.ALTGOLD,
-    System.ALTISOGOLD,
-    System.RCM,
-    System.VESELOV,
-}
+_SPECTRAL_OK = _PARTICLE | {System.ALTGOLD, System.ALTISOGOLD}
 
 
 @dataclass(frozen=True)
@@ -255,13 +247,10 @@ def _particle_acceleration(spec: ModelSpec):
 
         return acc
 
-    horner = spec.phi_coeffs()[::-1]
+    phi_coeffs = spec.phi_coeffs()
 
     def phi(z):
-        out = np.zeros_like(z)
-        for coef in horner:
-            out = out * z + coef
-        return out
+        return _horner(phi_coeffs, z)
 
     if spec.system in (System.GOLD, System.GENERAL_GOLD):
         a, b, c = spec.f_abc()
@@ -527,7 +516,7 @@ def _first_order_rhs(spec: ModelSpec, time_path):
     return field
 
 
-def _closed_form_rcm(spec: ModelSpec, init: MatrixFlowState):
+def _closed_form_rcm(init: MatrixFlowState):
     """Harmonic matrix motion; no integration involved."""
 
     def at(t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -540,7 +529,7 @@ def _closed_form_rcm(spec: ModelSpec, init: MatrixFlowState):
 def _matrix_flow_sampler(spec: ModelSpec, init: MatrixFlowState, t_samples, tol):
     """Return a callable ``t -> (U, Udot)`` covering ``t_samples``."""
     if spec.system is System.RCM:
-        return _closed_form_rcm(spec, init)
+        return _closed_form_rcm(init)
     mspec = _matrix_companion(spec)
     y0 = _state_to_vector(init)
     t0, t1 = float(t_samples[0]), float(t_samples[-1])
@@ -566,53 +555,9 @@ def _matrix_companion(spec: ModelSpec) -> ModelSpec:
         return ModelSpec(System.MATRIX_U, spec.N, a2=spec.a2)
     if spec.system in (System.ISOGOLD, System.ALTISOGOLD):
         return ModelSpec(System.MATRIX_UTILDE, spec.N)
-    if spec.system is System.GENERAL_GOLD:
-        return ModelSpec(System.MATRIX_GENERAL, spec.N, phi_poly=spec.phi_coeffs())
-    if spec.system in (System.RCM, System.VESELOV):
+    if spec.system in (System.GENERAL_GOLD, System.RCM, System.VESELOV):
         return ModelSpec(System.MATRIX_GENERAL, spec.N, phi_poly=spec.phi_coeffs())
     raise ValueError(f"{spec.system.value} has no matrix companion")
-
-
-def _spectral_frames(sampler, t_samples, max_refine=4000):
-    """Eigenvalue branches over ``t_samples``, refining on ambiguity.
-
-    The requested times are walked left to right, matching the current
-    frame against the next one only.  An ambiguous matching pushes the
-    midpoint of its interval onto a stack, to be matched first (the dense
-    matrix solution makes extra frames cheap), until every matching is
-    provably unambiguous; only the requested times are reported.
-    """
-
-    def frame(t):
-        return eigenvalues(sampler(t)[0])
-
-    times = [float(t) for t in t_samples]
-    lo = times[0]
-    current = frame(lo)
-    columns = [current]
-    perm = np.arange(current.size)
-    walked = 0  # frames passed so far, requested and inserted
-    inserted = 0
-    for t in times[1:]:
-        pending = [(t, frame(t))]
-        while pending:
-            hi, new = pending[-1]
-            try:
-                perm = _match_step(current, new, walked)
-            except AmbiguousTrackingError:
-                mid = 0.5 * (lo + hi)
-                if inserted >= max_refine or mid in (lo, hi) or hi - lo < 1e-12:
-                    raise
-                pending.append((mid, frame(mid)))
-                inserted += 1
-                continue
-            pending.pop()
-            lo, current = hi, new[perm]
-            walked += 1
-        columns.append(current)
-    # perm is indexed by branch, so the last one is the monodromy
-    monodromy = tuple(int(p) for p in perm)
-    return TrackedPaths(np.asarray(times), np.column_stack(columns), monodromy)
 
 
 def _eigen_velocities(U: np.ndarray, Udot: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -694,10 +639,8 @@ def simulate(
         # zdot_k = -psi_t(z_k) / psi'(z_k)
         plaind = conv.unstrip(np.concatenate([[0.0 + 0j], state0.cdot]))[1:]
         num = np.polyval(plaind, z0)
-        dcoef = np.polyder(np.atleast_1d(poly.plain_coeffs()))
-        den = np.polyval(dcoef, z0)
-        v0 = -num / den
-        particle0 = ParticleState(z0, v0)
+        den = np.polyval(np.polyder(np.atleast_1d(poly.plain_coeffs())), z0)
+        particle0 = ParticleState(z0, -num / den)
         particle_system = System.GOLD if spec.system is System.ALTGOLD else System.ISOGOLD
         pspec = ModelSpec(particle_system, spec.N, a2=spec.a2)
     else:
@@ -706,15 +649,16 @@ def simulate(
 
     init = build_matrix_initial_data(pspec, particle0)
     sampler = _matrix_flow_sampler(pspec, init, t_samples, tol)
-    tracked = _spectral_frames(sampler, t_samples)
+    # each requested sample is evaluated once; only refinement asks for more
+    flows = [sampler(float(t)) for t in t_samples]
+    frames = [eigenvalues(U) for U, _ in flows]
+    tracked = _walk(t_samples, frames, lambda t: eigenvalues(sampler(t)[0]))
 
     rows = []
-    for j, t in enumerate(t_samples):
-        U, Udot = sampler(float(t))
+    for j, (U, Udot) in enumerate(flows):
         order = tracked.paths[:, j]
         zdot = _eigen_velocities(U, Udot, order)
         if spec.system in _COEFFICIENT:
-            conv = TILDE if spec.system is System.ALTISOGOLD else PLAIN
             cvals = from_roots(order, conv).coeffs[1:]
             cdots = coeff_velocities(order, zdot, conv)
             rows.append(np.concatenate([cvals, cdots]))

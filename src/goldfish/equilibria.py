@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import _iso_bracket, _rational_bracket
+from .polynomials import _linear_product
 
 __all__ = [
     "EquilibriumConfig",
@@ -105,13 +106,6 @@ def _conv(p, q):
         for j, b in enumerate(q):
             out[i + j] += a * b
     return out
-
-
-def _pow(base, k: int):
-    acc = [Fraction(1)]
-    for _ in range(k):
-        acc = _conv(acc, base)
-    return acc
 
 
 def _gcd_degree(p, q) -> int:
@@ -285,7 +279,6 @@ def expand_altgold_psi(family: Family, N: int, a, mu: int, nu: int = 0, c=Fracti
     factored families of the rational-time system."""
     a = Fraction(a)
     c = Fraction(c)
-    zpa = [Fraction(1), a]
     if family is Family.ALTGOLD_BINOMIAL:
         if not 0 <= mu <= N:
             raise ValueError("binomial family needs 0 <= mu <= N")
@@ -307,11 +300,12 @@ def expand_altgold_psi(family: Family, N: int, a, mu: int, nu: int = 0, c=Fracti
         ]
         inner = [Fraction(1)]
         for beta in betas:
-            inner = _conv(inner, zpa)
+            inner = _conv(inner, [Fraction(1), a])
             inner[-1] += beta
     else:
         raise ValueError(f"not a rational-time family: {family}")
-    outer = _conv(_pow([Fraction(1), -a], mu), _pow(zpa, N - mu - (len(inner) - 1)))
+    # (z - a)^mu (z + a)^(N - mu - deg inner), descending
+    outer = _linear_product([a] * mu + [-a] * (N - mu - (len(inner) - 1)))[::-1]
     seq = _conv(inner, outer)
     assert seq[0] == 1 and len(seq) == N + 1
     return tuple(seq[1:])

@@ -256,6 +256,45 @@ def _match_step(current: np.ndarray, new: np.ndarray, index: int) -> np.ndarray:
     return perm
 
 
+def _walk(times, frames, refine=None, max_refine=4000) -> TrackedPaths:
+    """Eigenvalue branches over ``times``, one frame per requested time.
+
+    The frames are walked left to right, matching the current frame
+    against the next one only.  An ambiguous matching asks ``refine(t)``
+    for the frame at the midpoint of its interval and matches that first,
+    until every matching is provably unambiguous; only the requested times
+    are reported.  With no ``refine``, or after ``max_refine`` inserted
+    frames, the ambiguity raises :class:`AmbiguousTrackingError`.
+    """
+    lo = times[0]
+    current = frames[0]
+    columns = [current]
+    perm = np.arange(current.size)
+    walked = 0  # frames passed so far, requested and inserted
+    inserted = 0
+    for t, frame in zip(times[1:], frames[1:]):
+        pending = [(t, frame)]
+        while pending:
+            hi, new = pending[-1]
+            try:
+                perm = _match_step(current, new, walked)
+            except AmbiguousTrackingError:
+                mid = 0.5 * (lo + hi)
+                if refine is None or inserted >= max_refine or mid in (lo, hi) or hi - lo < 1e-12:
+                    raise
+                pending.append((mid, refine(mid)))
+                inserted += 1
+                continue
+            pending.pop()
+            lo, current = hi, new[perm]
+            walked += 1
+        columns.append(current)
+    # perm is indexed by branch, so it already is the composition of all
+    # slot-to-slot assignments: the last one is the monodromy
+    monodromy = tuple(int(p) for p in perm)
+    return TrackedPaths(np.asarray(times), np.column_stack(columns), monodromy)
+
+
 def track_trajectories(frames, times) -> TrackedPaths:
     """Thread eigenvalue multisets into continuous branches.
 
@@ -272,18 +311,4 @@ def track_trajectories(frames, times) -> TrackedPaths:
     n = frames[0].size
     if any(fr.size != n for fr in frames):
         raise ValueError("all frames must have equal cardinality")
-
-    paths = np.empty((n, len(frames)), dtype=complex)
-    paths[:, 0] = frames[0]
-    monodromy = np.arange(n)
-    current = frames[0].copy()
-    for j in range(1, len(frames)):
-        new = frames[j]
-        perm = _match_step(current, new, j - 1)
-        matched = new[perm]
-        paths[:, j] = matched
-        # perm is indexed by branch, so it already is the composition of
-        # all slot-to-slot assignments up to frame j
-        monodromy = perm
-        current = matched
-    return TrackedPaths(times, paths, tuple(int(p) for p in monodromy))
+    return _walk(times, frames)

@@ -118,26 +118,22 @@ def find_roots(poly: MonicPolynomial, tol: float = 1e-12, max_iter: int = 500) -
     ks = np.arange(n)
     z = radius * np.exp(2j * np.pi * (ks + 0.37) / n + 1j * 0.11 * ks)
 
-    dcoef = c[:-1] * np.arange(n, 0, -1)
-
-    def horner(coefs, x):
-        acc = np.zeros_like(x)
-        for a in coefs:
-            acc = acc * x + a
-        return acc
+    # ascending, for Horner's rule
+    c_up = c[::-1]
+    dcoef_up = c_up[1:] * np.arange(1, n + 1)
 
     target = tol * (1.0 + cnorm)
     for _ in range(max_iter):
-        p = horner(c, z)
+        p = _horner(c_up, z)
         if np.all(np.abs(p) <= target):
             return z
-        dp = horner(dcoef, z)
+        dp = _horner(dcoef_up, z)
         w = p / np.where(dp == 0, 1e-300, dp)
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
         s = np.sum(1.0 / diff, axis=1)
         z = z - w / (1.0 - w * s)
-    p = horner(c, z)
+    p = _horner(c_up, z)
     if np.all(np.abs(p) <= target * 10):
         # multiple roots stall at the attainable accuracy; accept slightly
         # looser residuals rather than failing on a legitimate cluster
@@ -210,11 +206,7 @@ class IntegerPolynomial:
         return self.coeffs[-1]
 
     def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        x = Fraction(x)
-        for a in reversed(self.coeffs):
-            acc = acc * x + a
-        return acc
+        return _horner(self.coeffs, Fraction(x))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -246,9 +238,26 @@ class IntegerPolynomial:
         return IntegerPolynomial(tuple(_linear_product(roots)))
 
 
-def _linear_product(roots) -> list[int]:
-    """Ascending ``int`` coefficients of ``prod (x - r)`` over ``roots``, by
-    synthetic multiplication."""
+def _horner(coeffs, x):
+    """``sum_k coeffs[k] x^k`` (ascending ``coeffs``) by Horner's rule.
+
+    Generic over the scalar type: ``int``, ``Fraction`` or complex numpy
+    arrays (evaluated elementwise) all run through this one loop.
+    """
+    acc = 0
+    for a in reversed(coeffs):
+        acc = acc * x + a
+    return acc
+
+
+def _linear_product(roots) -> list:
+    """Ascending coefficients of ``prod (x - r)`` over ``roots``, by
+    synthetic multiplication.
+
+    Generic over the scalar type of ``roots`` (``int`` roots give ``int``
+    coefficients, ``Fraction`` roots ``Fraction`` ones); the leading
+    coefficient is the ``int`` one.
+    """
     c = [1]
     for r in roots:
         c = [0] + c
@@ -304,13 +313,6 @@ def _lagrange_interpolate(points, values) -> tuple[list[int], int]:
             carry = node[k] + carry * xi
             num[k - 1] += f * carry
     return num, den
-
-
-def _horner(coeffs: list[int], x: int) -> int:
-    acc = 0
-    for a in reversed(coeffs):
-        acc = acc * x + a
-    return acc
 
 
 def pencil_charpoly_exact(A, B) -> IntegerPolynomial:

@@ -147,13 +147,15 @@ def solve_pencil_numeric(pencil: QuadraticPencil) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PencilSample:
-    """Exact spectral data of one pencil (one free-constant value)."""
+    """Exact spectral data of one pencil (one free-constant value), with
+    the pencil it was computed from."""
 
     free: Fraction
     charpoly: IntegerPolynomial
     integer_roots: tuple[int, ...]
     remainder: IntegerPolynomial
     all_integers: bool
+    pencil: QuadraticPencil
 
 
 @dataclass(frozen=True)
@@ -199,11 +201,11 @@ def verify_integrality(
     """
     samples = []
     ok = True
-    for cval, _, poly in _cell_pencils(nu, mu, N, free_samples, perturb_c1):
+    for cval, pencil, poly in _cell_pencils(nu, mu, N, free_samples, perturb_c1):
         roots, rem = integer_roots(poly)
         all_int = len(roots) == 2 * N and rem.coeffs == (Fraction(1),)
         ok = ok and all_int
-        samples.append(PencilSample(cval, poly, tuple(roots), rem, all_int))
+        samples.append(PencilSample(cval, poly, tuple(roots), rem, all_int, pencil))
     return SpectralReport(nu, Fraction(mu), N, tuple(samples), ok)
 
 

@@ -23,7 +23,9 @@ The simulation path is kept here in its per-state form (particle
 accelerations read the spec's constants on every call, eigenvalue paths
 are tracked again over the whole frame list after every inserted
 midpoint): the library's compiled right-hand side and its local
-refinement must reproduce these results bit for bit.
+refinement must reproduce these results bit for bit.  The frame-by-frame
+tracking loop is kept here too, so that the walker the library's
+tracking and spectral route share is checked against a loop of its own.
 
 The paper identities that no report uses live here too: the
 generating-polynomial residual of the coefficient dynamics, the quartic
@@ -46,8 +48,8 @@ from goldfish.linalg import (
     AmbiguousTrackingError,
     TrackedPaths,
     Trajectory,
+    _match_step,
     eigenvalues,
-    track_trajectories,
 )
 from goldfish.equilibria import Family, RecursionSolution
 from goldfish.polynomials import IntegerPolynomial
@@ -92,6 +94,19 @@ def particle_rhs(spec, z, v):
     return _phi_of(spec, z) - 2 * spec.g ** 2 * _inverse_cube_sum(z)
 
 
+def track(frames, times):
+    """Eigenvalue branches of a frame list, matched frame by frame into a
+    preallocated path array; no refinement."""
+    frames = [np.asarray(fr, dtype=complex) for fr in frames]
+    paths = np.empty((frames[0].size, len(frames)), dtype=complex)
+    paths[:, 0] = frames[0]
+    monodromy = np.arange(frames[0].size)
+    for j in range(1, len(frames)):
+        monodromy = _match_step(paths[:, j - 1], frames[j], j - 1)
+        paths[:, j] = frames[j][monodromy]
+    return TrackedPaths(np.asarray(times, dtype=float), paths, tuple(map(int, monodromy)))
+
+
 def spectral_frames(sampler, t_samples, max_refine=4000):
     """Eigenvalue branches over ``t_samples``: after every midpoint
     inserted between ambiguous neighbours, the whole frame list is
@@ -103,7 +118,7 @@ def spectral_frames(sampler, t_samples, max_refine=4000):
     while True:
         ts = sorted(frames)
         try:
-            tracked = track_trajectories([frames[t] for t in ts], ts)
+            tracked = track([frames[t] for t in ts], ts)
         except AmbiguousTrackingError as exc:
             if inserted >= max_refine:
                 raise

@@ -1,10 +1,15 @@
+import argparse
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from goldfish.cli import main
+from goldfish import spectrum
+from goldfish.cli import build_parser, main
+from goldfish.dynamics import ModelSpec, ParticleState, System, simulate
+from goldfish.equilibria import cbar_closed_form
+from goldfish.linalg import multiset_distance
 from goldfish.reports import write_trajectory_csv, write_trajectory_svg
 from goldfish.spectrum import verify_integrality
 
@@ -51,6 +56,63 @@ def test_spectrum_numeric_solves_the_reported_pencil(tmp_path, perturb):
         value = sum(float(c) * lam**k for k, c in enumerate(poly.coeffs))
         scale = sum(abs(float(c)) * abs(lam) ** k for k, c in enumerate(poly.coeffs))
         assert abs(value) <= 1e-9 * scale, (lam, value)
+
+
+def test_spectrum_numeric_builds_each_charpoly_once(monkeypatch, capsys):
+    """--numeric solves the first sample's pencil as verify_integrality
+    built it: one exact charpoly per free-constant sample (four at nu = 5),
+    and the same exact report as without --numeric."""
+    calls = []
+    charpoly = spectrum.pencil_charpoly_exact
+
+    def counted(A, B):
+        calls.append(len(A))
+        return charpoly(A, B)
+
+    monkeypatch.setattr(spectrum, "pencil_charpoly_exact", counted)
+    argv = ["spectrum", "--nu", "5", "--mu", "5", "--n", "6"]
+    assert run(argv + ["--numeric"]) == 0
+    numeric = json.loads(capsys.readouterr().out)["results"]
+    assert calls == [6] * 4
+    assert run(argv) == 0
+    exact = json.loads(capsys.readouterr().out)["results"]
+    assert numeric["samples"] == exact["samples"]
+    first = spectrum.DEFAULT_NU5_SAMPLES[0]
+    eigs = spectrum.solve_pencil_numeric(spectrum.build_pencil(cbar_closed_form(5, 5, 6, first)))
+    eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
+    assert [complex(re, im) for re, im in numeric["numeric_eigenvalues"]] == list(eigs)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equilibria", "--iso", "--n", "2", "--json"],
+        ["simulate", "--system", "gold", "--n", "1", "--z0", "1,0", "--t-end", "0.1",
+         "--samples", "3", "--csv"],
+    ],
+)
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
+    """An output path in a missing directory exits 2 with one error line."""
+    path = tmp_path / "missing" / "out"
+    assert run(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert str(path) in err
+
+
+def _choices(command, option):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions if option in a.option_strings).choices
+
+
+def test_system_choices():
+    """The CLI offers every system by its hyphenated name."""
+    assert _choices("simulate", "--system") == [
+        "altgold", "altisogold", "gammatau", "general-gold", "gold", "isogold",
+        "matrix-general", "matrix-u", "matrix-utilde", "rcm", "veselov",
+    ]
+    assert _choices("isochrony", "--system") == ["altisogold", "isogold"]
 
 
 @pytest.mark.parametrize("perturb", ["0", "1/2"])
@@ -268,6 +330,30 @@ def test_simulate_spectral_csv_column_count(tmp_path):
     assert code == 0
     header = csv.read_text().splitlines()[0].split(",")
     assert len(header) == 1 + 4  # t plus re/im for two bodies
+
+
+@pytest.mark.parametrize(
+    "system, particle, flags",
+    [
+        ("matrix-u", System.GOLD, ["--a2=-1,0"]),
+        ("matrix-utilde", System.ISOGOLD, []),
+        ("matrix-general", System.VESELOV, ["--g=0.2,0", "--phi=0,0;-1,0"]),
+    ],
+)
+def test_matrix_flow_follows_its_particle_system(tmp_path, system, particle, flags):
+    """A matrix flow starts from its particle system's initial data, so its
+    eigenvalues follow that system's direct solution."""
+    csv = tmp_path / "run.csv"
+    argv = ["simulate", "--system", system, "--n", "2", *flags, "--z0=0.4,0.1",
+            "--z0=-0.2,0.3", "--v0=0.1,0", "--v0=0,0.2", "--samples", "8", "--tol", "1e-12"]
+    assert run(argv + ["--csv", str(csv)]) == 0
+    times, values = read_trajectory_csv(csv)
+    a2 = -1.0 if particle is System.GOLD else 0.0
+    spec = ModelSpec(particle, 2, a2=a2, g=0.2, phi_poly=(0, -1))
+    state = ParticleState([0.4 + 0.1j, -0.2 + 0.3j], [0.1, 0.2j])
+    direct = simulate(spec, state, times, "direct", tol=1e-12)
+    for got, want in zip(values, direct.values):
+        assert multiset_distance(got, want) < 1e-8
 
 
 def test_collision_is_a_runtime_failure(capsys):

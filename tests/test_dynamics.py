@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import oracles
-from goldfish import dynamics
+from goldfish import dynamics, linalg
 from goldfish.dynamics import (
     CoefficientState,
     CollisionError,
@@ -502,6 +502,13 @@ def test_compiled_rhs_bit_identical_to_oracle(time_path):
                 assert same_bits(got, field), (system, n)
 
 
+def _walk_sampler(sampler, t_samples, max_refine=4000):
+    """The spectral route's walk: the frames of the requested times, and a
+    refinement built from the same sampler."""
+    frame = lambda t: eigenvalues(sampler(t)[0])
+    return linalg._walk(t_samples, [frame(float(t)) for t in t_samples], frame, max_refine)
+
+
 def test_spectral_frames_equal_oracle():
     """Local refinement makes the same matches, inserts the same frames
     and gives up on the same interval as tracking the whole frame list
@@ -515,7 +522,7 @@ def test_spectral_frames_equal_oracle():
         init = build_matrix_initial_data(spec, random_state(rng, n, scale=1.0))
         sampler = dynamics._matrix_flow_sampler(spec, init, t, 1e-11)
         runs = []
-        for frames in (dynamics._spectral_frames, oracles.spectral_frames):
+        for frames in (_walk_sampler, oracles.spectral_frames):
             calls = []
 
             def counted(s):
@@ -531,7 +538,7 @@ def test_spectral_frames_equal_oracle():
         inserted += len(got_calls) - t.size
         for max_refine in (1, 3):
             errors = []
-            for frames in (dynamics._spectral_frames, oracles.spectral_frames):
+            for frames in (_walk_sampler, oracles.spectral_frames):
                 try:
                     frames(sampler, t, max_refine=max_refine)
                     errors.append(None)

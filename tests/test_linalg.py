@@ -13,6 +13,7 @@ from goldfish.linalg import (
     integrate_ode,
     track_trajectories,
 )
+import oracles
 from oracles import permutation_order
 
 
@@ -260,3 +261,34 @@ def test_tracking_ambiguity_raises():
     frames = [np.array([0.0, 1.0]), np.array([0.45, 0.55])]
     with pytest.raises(AmbiguousTrackingError):
         track_trajectories(frames, np.array([0.0, 1.0]))
+
+
+def test_tracking_equals_oracle():
+    """The walker behind track_trajectories matches the frame-by-frame loop
+    bit for bit, and refuses the same frame pair with the same numbers."""
+    rng = np.random.default_rng(29)
+    refused = 0
+    for k in range(150):
+        n, count = 1 + k % 5, 2 + k % 7
+        step = (0.02, 0.2, 1.0)[k % 3]
+        current = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        frames = []
+        for _ in range(count):
+            current = current + step * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            frames.append(rng.permutation(current))
+        ts = np.sort(rng.uniform(0.0, 1.0, count))
+        runs = []
+        for track in (track_trajectories, oracles.track):
+            try:
+                runs.append(track(frames, ts))
+            except AmbiguousTrackingError as exc:
+                runs.append((exc.index, exc.displacement, exc.gap))
+        got, want = runs
+        if isinstance(want, tuple):
+            assert got == want
+            refused += 1
+            continue
+        assert np.array_equal(got.paths.view(np.uint64), want.paths.view(np.uint64))
+        assert np.array_equal(got.times, want.times)
+        assert got.monodromy == want.monodromy
+    assert 0 < refused < 150

@@ -15,6 +15,7 @@ from goldfish.polynomials import (
     find_roots,
     from_roots,
     integer_roots,
+    _horner,
     _root_bound,
     pencil_charpoly_exact,
 )
@@ -121,6 +122,28 @@ def test_integer_polynomial_str_and_eval():
     assert str(p) == "p^2 - 3p + 2"
     assert p(5) == 12
     assert oracles.deflate(p, 1).coeffs == (Fraction(-2), Fraction(1))
+
+
+def test_horner_equals_power_sum_on_every_scalar_type():
+    """The one Horner loop evaluates int, Fraction and complex-array
+    polynomials; integral complex values keep the array case exact."""
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        n = int(rng.integers(0, 7))
+        ints = [int(a) for a in rng.integers(-9, 10, n + 1)]
+        x = int(rng.integers(-6, 7))
+        got = _horner(ints, x)
+        assert type(got) is int and got == sum(a * x**k for k, a in enumerate(ints))
+        fracs = [Fraction(a, int(d)) for a, d in zip(ints, rng.integers(1, 6, n + 1))]
+        q = Fraction(int(rng.integers(-7, 8)), int(rng.integers(1, 5)))
+        got = _horner(fracs, q)
+        assert type(got) is Fraction and got == sum(a * q**k for k, a in enumerate(fracs))
+        cs = rng.integers(-9, 10, n + 1) + 1j * rng.integers(-9, 10, n + 1)
+        z = rng.integers(-3, 4, 5) + 1j * rng.integers(-3, 4, 5)
+        want = sum(a * z**k for k, a in enumerate(cs))
+        assert np.array_equal(_horner(cs, z), want)
+        z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        assert np.allclose(_horner(cs, z), sum(a * z**k for k, a in enumerate(cs)))
 
 
 def test_pencil_charpoly_scalar():
