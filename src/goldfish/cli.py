@@ -7,8 +7,10 @@ trajectories serialise to CSV and optionally to a static SVG of the
 complex-plane curves.
 
 Exit codes: 0 success / verified, 1 verification or runtime failure
-(for instance a conjecture counterexample), 2 usage or validation error
-(an output path that cannot be written included).
+(for instance a conjecture counterexample, or an exact characteristic
+polynomial that fails its certificate), 2 usage or validation error (an
+output path that cannot be written included; a path whose directory is
+missing is refused before any work starts).
 ``GOLDFISH_THREADS`` caps the sweep worker pool.
 """
 
@@ -496,10 +498,24 @@ def cmd_sweep(args) -> int:
 # argument plumbing
 
 
+_OUTPUT_PATHS = ("json", "csv", "svg")
+
+
+def _check_output_dirs(args) -> None:
+    """Refuse an output path whose directory does not exist, before any
+    report is computed or printed."""
+    for name in _OUTPUT_PATHS:
+        path = getattr(args, name, None)
+        if path is not None:
+            folder = os.path.dirname(os.path.abspath(path))
+            if not os.path.isdir(folder):
+                raise UsageError(f"cannot write {path}: no such directory {folder}")
+
+
 def _echo_args(args) -> dict:
     # output paths stay out of the echo so identical configurations give
     # byte-identical reports regardless of where they are written
-    skip = {"func", "_t0", "json", "csv", "svg"}
+    skip = {"func", "_t0", *_OUTPUT_PATHS}
     return {
         k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
     }
@@ -618,6 +634,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args._t0 = time.perf_counter()
     try:
+        _check_output_dirs(args)
         return args.func(args)
     except (UsageError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -628,6 +645,7 @@ def main(argv=None) -> int:
         AmbiguousTrackingError,
         EigenvalueError,
         RootFindingError,
+        ArithmeticError,
     ) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return _FAILURE

@@ -19,7 +19,9 @@ input to integers once and do the arithmetic on plain ``int``.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -315,17 +317,115 @@ def _lagrange_interpolate(points, values) -> tuple[list[int], int]:
     return num, den
 
 
+def _border_width(Ai, Bi) -> int:
+    """Smallest ``k`` such that ``Ai`` and ``Bi`` are upper triangular on
+    rows and columns ``>= k``; a dense matrix gives ``n - 1``."""
+    n = len(Ai)
+    return max((j + 1 for i in range(n) for j in range(i) if Ai[i][j] or Bi[i][j]), default=0)
+
+
+def _node_determinant(Ai, Bi, D: int, k: int):
+    """``det_at(p) = det(M)`` for the integer matrix ``M = D p^2 I + p Ai + Bi``
+    whose trailing block ``T = M[k:, k:]`` is upper triangular, or ``None``
+    where a diagonal quadratic ``q_j = D p^2 + p Ai[j][j] + Bi[j][j]``
+    (``j >= k``) vanishes.
+
+    Uses the Schur complement of ``T``.  ``T X = M[k:, :k]`` is solved by
+    back substitution over the nonzeros of ``T``, carrying
+    ``Y_i = d_i X_i`` with ``d_i = prod_(j >= i) q_j``, so every step stays
+    in integers.  A row of ``X`` that the nonzero pattern forces to zero
+    (nothing in ``M[i, :k]``, and no entry of ``T`` reaching a nonzero row)
+    is never formed.  With ``dk = d_k``, ``dk S = dk M[:k, :k] - M[:k, k:] dk X``
+    is a ``k x k`` integer matrix and ``det M = det(dk S) / dk^(k - 1)``,
+    the one (exact) division per node, taken as ``det(dk S) dk / dk^k`` so
+    that ``k = 0`` needs no case of its own.  At ``k = n``, ``T`` is empty
+    and this is plain Bareiss on ``M``.
+    """
+    n = len(Ai)
+    nonzero = set()  # rows of X, less k, that the pattern lets be nonzero
+
+    def right_of(i, first):
+        """Nonzeros of row ``i`` in columns ``>= first`` whose row of ``X``
+        can be nonzero, as (column - k, A entry, B entry)."""
+        return [
+            (j - k, Ai[i][j], Bi[i][j])
+            for j in range(first, n)
+            if (Ai[i][j] or Bi[i][j]) and j - k in nonzero
+        ]
+
+    solve = []  # (i - k, M[i, :k] as (A, B) pairs, nonzeros of T) per nonzero row of X
+    for i in reversed(range(k, n)):
+        upper = right_of(i, i + 1)
+        if upper or any(Ai[i][:k]) or any(Bi[i][:k]):
+            nonzero.add(i - k)
+            solve.append((i - k, list(zip(Ai[i][:k], Bi[i][:k])), upper))
+    border = [(list(zip(Ai[a][:k], Bi[a][:k])), right_of(a, k)) for a in range(k)]
+    diagonal = [(Ai[i][i], Bi[i][i]) for i in range(k, n)]
+    columns = range(k)
+
+    def det_at(p: int) -> int | None:
+        d2 = D * p * p
+        q = [d2 + p * a + b for a, b in diagonal]
+        if not all(q):
+            return None
+        d = list(itertools.accumulate(reversed(q), operator.mul, initial=1))[::-1]
+        Y = {}
+        for i, entries, upper in solve:
+            # Y_i = d_(i+1) C_i - sum_j T_ij (d_(i+1) / d_j) Y_j
+            y = [d[i + 1] * (p * a + b) for a, b in entries]
+            for j, a, b in upper:
+                t = (p * a + b) * math.prod(q[i + 1 : j])
+                yj = Y[j]
+                for c in columns:
+                    y[c] -= t * yj[c]
+            Y[i] = y
+        dk = d[0]
+        S = []
+        for a, (entries, right) in enumerate(border):
+            row = [dk * (p * x + y) for x, y in entries]
+            row[a] += dk * d2
+            for j, x, y in right:
+                t = (p * x + y) * math.prod(q[:j])  # dk / d_j
+                yj = Y[j]
+                for c in columns:
+                    row[c] -= t * yj[c]
+            S.append(row)
+        det, rem = divmod(_bareiss_det(S) * dk, dk**k)
+        if rem:
+            raise ArithmeticError("Schur complement determinant is not exact")
+        return det
+
+    return det_at
+
+
 def pencil_charpoly_exact(A, B) -> IntegerPolynomial:
     """``det(p^2 I + p A + B)`` computed exactly for rational ``A``, ``B``.
 
     ``A`` and ``B`` are scaled to integers once, by the lcm ``D`` of all
-    their denominators, so ``D (p^2 I + p A + B)`` is an integer matrix at
-    every integer ``p``.  Its determinant is evaluated at the ``2N + 1``
-    integers ``p = -N..N`` by fraction-free elimination on plain integers
-    and interpolated exactly over one common denominator; only the final
-    coefficients are rationals (the determinant is ``det_int / D^N``).
-    The result is cross-checked at one extra evaluation point and must be
-    monic of degree exactly ``2N``.
+    their denominators, so ``M(p) = D (p^2 I + p A + B)`` is an integer
+    matrix at every integer ``p`` and the determinant is
+    ``det M(p) / D^N``.
+
+    * **Border.**  ``k`` is the smallest index with ``A`` and ``B`` upper
+      triangular on rows and columns ``>= k``.  Every pencil of the
+      isochronous bracket has ``k <= 2``: row ``m`` couples only to
+      ``c_1``, ``c_2`` and a band on and right of the diagonal.  A dense
+      matrix gives ``k = N - 1``.  Each ``det M(p)`` is a Schur complement
+      on the triangular trailing block plus integer Bareiss on the
+      ``k x k`` border, so a banded block costs O(N) integer operations
+      per node, not O(N^3).
+    * **Nodes.**  The first ``2N + 1`` integers of ``0, 1, -1, 2, -2, ...``
+      at which no diagonal quadratic ``D p^2 + p A_ii + B_ii`` (``i >= k``)
+      vanishes, so no pivot of the back substitution is zero.  With
+      nothing skipped they are ``-N..N``.  The values are interpolated
+      exactly over one common denominator.
+    * **Certificate.**  The interpolant is checked against a Bareiss
+      determinant of the full matrix at ``max|node| + 1``, an evaluation
+      that takes no Schur complement, and must be monic of degree ``2N``.
+    * **Fallback.**  If the certificate fails, the polynomial is computed
+      again by plain Bareiss on the full matrix at ``-N..N`` and checked
+      the same way at ``N + 1``; only a second failure raises
+      :class:`ArithmeticError`.
     """
     A = [[_as_fraction(x) for x in row] for row in A]
     B = [[_as_fraction(x) for x in row] for row in B]
@@ -335,28 +435,30 @@ def pencil_charpoly_exact(A, B) -> IntegerPolynomial:
     D = math.lcm(*(x.denominator for row in A + B for x in row))
     Ai = [[x.numerator * (D // x.denominator) for x in row] for row in A]
     Bi = [[x.numerator * (D // x.denominator) for x in row] for row in B]
+    full = _node_determinant(Ai, Bi, D, n)
 
-    def det_at(p: int) -> int:
-        """``D^N det(p^2 I + p A + B)``."""
-        m = [[p * a + b for a, b in zip(ra, rb)] for ra, rb in zip(Ai, Bi)]
-        d = D * p * p
-        for i in range(n):
-            m[i][i] += d
-        return _bareiss_det(m)
+    def interpolate(det_at, candidates) -> IntegerPolynomial:
+        nodes = ((p, det_at(p)) for p in candidates)
+        usable = itertools.islice(((p, v) for p, v in nodes if v is not None), 2 * n + 1)
+        points, values = zip(*usable)
+        num, den = _lagrange_interpolate(points, values)
+        check = max(map(abs, points)) + 1
+        if _horner(num, check) != den * full(check):
+            raise ArithmeticError("interpolation cross-check failed")
+        scale = den * D**n
+        poly = IntegerPolynomial(tuple(Fraction(c, scale) for c in num))
+        if num[-1] != scale:
+            raise ArithmeticError(
+                f"characteristic polynomial must be monic of degree {2 * n}, "
+                f"got degree {poly.degree} with leading {poly.leading}"
+            )
+        return poly
 
-    points = list(range(-n, n + 1))
-    num, den = _lagrange_interpolate(points, [det_at(p) for p in points])
-    check = n + 1
-    if _horner(num, check) != den * det_at(check):
-        raise ArithmeticError("interpolation cross-check failed")
-    scale = den * D**n
-    poly = IntegerPolynomial(tuple(Fraction(c, scale) for c in num))
-    if num[-1] != scale:
-        raise ArithmeticError(
-            f"characteristic polynomial must be monic of degree {2 * n}, "
-            f"got degree {poly.degree} with leading {poly.leading}"
-        )
-    return poly
+    outward = ((-1) ** (i + 1) * ((i + 1) // 2) for i in itertools.count())  # 0, 1, -1, 2, ...
+    try:
+        return interpolate(_node_determinant(Ai, Bi, D, _border_width(Ai, Bi)), outward)
+    except ArithmeticError:
+        return interpolate(full, range(-n, n + 1))
 
 
 def _root_bound(c: list[int]) -> int:

@@ -83,21 +83,41 @@ def test_spectrum_numeric_builds_each_charpoly_once(monkeypatch, capsys):
     assert [complex(re, im) for re, im in numeric["numeric_eigenvalues"]] == list(eigs)
 
 
+_SIMULATE_GOLD = ["simulate", "--system", "gold", "--n", "1", "--z0", "1,0", "--t-end", "0.1",
+                  "--samples", "3"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["equilibria", "--iso", "--n", "2", "--json"],
-        ["simulate", "--system", "gold", "--n", "1", "--z0", "1,0", "--t-end", "0.1",
-         "--samples", "3", "--csv"],
+        _SIMULATE_GOLD + ["--csv"],
+        _SIMULATE_GOLD + ["--json"],
+        _SIMULATE_GOLD + ["--svg"],
+        ["sweep", "--which", "integrality", "--n-max", "2", "--csv"],
     ],
 )
 def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
-    """An output path in a missing directory exits 2 with one error line."""
+    """An output path in a missing directory exits 2 with one error line,
+    before any report reaches stdout."""
     path = tmp_path / "missing" / "out"
     assert run(argv + [str(path)]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert str(path) in err
+
+
+def test_failed_certificate_is_a_runtime_failure(monkeypatch, capsys):
+    """An exact charpoly that fails its certificate exits 1 with one line."""
+
+    def uncertified(A, B):
+        raise ArithmeticError("interpolation cross-check failed")
+
+    monkeypatch.setattr(spectrum, "pencil_charpoly_exact", uncertified)
+    assert run(["spectrum", "--nu", "0", "--mu", "1", "--n", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "runtime failure: interpolation cross-check failed\n"
 
 
 def _choices(command, option):

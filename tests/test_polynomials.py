@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from goldfish import polynomials
 from goldfish.polynomials import (
     IntegerPolynomial,
     MonicPolynomial,
@@ -314,3 +315,91 @@ def test_pencil_charpoly_equals_oracle_on_random_rationals(pencil):
     poly = pencil_charpoly_exact(A, B)
     assert poly == oracles.charpoly(A, B)
     assert integer_roots(poly) == oracles.integer_roots(poly)
+
+
+def _count_bareiss(mp, wrong=lambda size: False):
+    """Patch ``polynomials._bareiss_det`` to record the size of every
+    matrix it is given; where ``wrong(size)`` holds, it returns det + 1."""
+    sizes = []
+    bareiss = polynomials._bareiss_det
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return bareiss(rows) + (1 if wrong(len(rows)) else 0)
+
+    mp.setattr(polynomials, "_bareiss_det", counted)
+    return sizes
+
+
+@st.composite
+def _bordered_pencils(draw):
+    """Rational pencils upper triangular outside their first ``k`` rows and
+    columns; some diagonal quadratics ``(p - r1)(p - r2)`` have small integer
+    roots, so some of the nodes ``0, 1, -1, ...`` must be skipped."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(0, n))
+    # zero only strictly below the diagonal of the trailing block
+    A = [[draw(_small_rational) if j < k or j >= i else 0 for j in range(n)] for i in range(n)]
+    B = [[draw(_small_rational) if j < k or j >= i else 0 for j in range(n)] for i in range(n)]
+    for i in range(k, n):
+        if draw(st.booleans()):
+            r1, r2 = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            A[i][i], B[i][i] = Fraction(-(r1 + r2)), Fraction(r1 * r2)
+    return A, B
+
+
+@given(_bordered_pencils())
+def test_pencil_charpoly_bordered_equals_oracle(pencil):
+    """The Schur route is exact on every border width, skipped nodes
+    included: it agrees with the Fraction oracle, and the one full-size
+    determinant is the certificate (the fallback never runs)."""
+    A, B = pencil
+    with pytest.MonkeyPatch.context() as mp:
+        sizes = _count_bareiss(mp)
+        poly = pencil_charpoly_exact(A, B)
+    assert poly == oracles.charpoly(A, B)
+    assert sizes.count(len(A)) == 1
+
+
+def _skew_nodes(mp, bad):
+    """Patch the node evaluators so that ``det_at(p)`` of border width
+    ``k`` is off by one wherever ``bad(k, p)`` holds."""
+    make = polynomials._node_determinant
+
+    def skewed(Ai, Bi, D, k):
+        det_at = make(Ai, Bi, D, k)
+
+        def wrong(p):
+            value = det_at(p)
+            return value + 1 if value is not None and bad(k, p) else value
+
+        return wrong
+
+    mp.setattr(polynomials, "_node_determinant", skewed)
+
+
+def test_pencil_charpoly_falls_back_on_a_wrong_node():
+    """Wrong Schur node values fail the certificate (or the exact division),
+    and plain Bareiss at ``-N..N`` then gives the right polynomial; when
+    that fails too, the result is an ArithmeticError, never a wrong
+    polynomial."""
+    from goldfish.equilibria import cbar_closed_form
+    from goldfish.spectrum import build_pencil
+
+    pen = build_pencil(cbar_closed_form(3, 4, 6))
+    n, expect = pen.N, oracles.charpoly(pen.A, pen.B)
+    with pytest.MonkeyPatch.context() as mp:
+        _skew_nodes(mp, lambda k, p: k < n)
+        sizes = _count_bareiss(mp)
+        assert pencil_charpoly_exact(pen.A, pen.B) == expect
+    # the certificate at max|node| + 1, then 2N + 1 fallback nodes and N + 1
+    assert sizes.count(n) == 1 + (2 * n + 1) + 1
+    with pytest.MonkeyPatch.context() as mp:
+        # a border determinant off by one leaves a remainder in det(dk S) / dk^(k-1)
+        sizes = _count_bareiss(mp, lambda size: size < n)
+        assert pencil_charpoly_exact(pen.A, pen.B) == expect
+    assert sizes.count(n) == 2 * n + 2
+    with pytest.MonkeyPatch.context() as mp:
+        _skew_nodes(mp, lambda k, p: k < n or p == 0)
+        with pytest.raises(ArithmeticError, match="cross-check"):
+            pencil_charpoly_exact(pen.A, pen.B)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import oracles
+from goldfish import polynomials
 from goldfish.equilibria import cbar_closed_form, expand_iso_psi
 from goldfish.polynomials import IntegerPolynomial, integer_roots, pencil_charpoly_exact
 from goldfish.spectrum import (
@@ -110,6 +111,37 @@ def test_exact_kernels_equal_oracles_on_resonant_branch():
         for mu in range(8, n + 1):
             for c in (Fraction(1), Fraction(-3)):
                 _assert_exact_kernels_match_oracles(build_pencil(expand_iso_psi(8, mu, n, c)))
+
+
+def test_schur_route_certifies_every_grid_pencil(monkeypatch):
+    """On every grid pencil (N <= 10, each c_1 shift of the oracle test, and
+    the resonant nu = 8 branch) the Schur route passes its certificate: the
+    only full-size Bareiss determinant is the cross-check, so the fallback
+    never runs, and every node determinant is a small border one."""
+    sizes = []
+    bareiss = polynomials._bareiss_det
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return bareiss(rows)
+
+    monkeypatch.setattr(polynomials, "_bareiss_det", counted)
+    pencils = [
+        build_pencil((cbar[0] + delta,) + cbar[1:])
+        for cbar in _grid_cbars()
+        for delta in (0, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2))
+    ]
+    pencils += [
+        build_pencil(expand_iso_psi(8, mu, n, c))
+        for n in (8, 9, 10)
+        for mu in range(8, n + 1)
+        for c in (Fraction(1), Fraction(-3))
+    ]
+    for pen in pencils:
+        sizes.clear()
+        pencil_charpoly_exact(pen.A, pen.B)
+        assert sizes.count(pen.N) == 1, pen
+        assert len(sizes) == 2 * pen.N + 2 and max(sizes[:-1]) <= 2, pen
 
 
 # ---------------------------------------------------------------------------
