@@ -447,27 +447,26 @@ def _sweep_cell(payload):
 def cmd_sweep(args) -> int:
     nus = [int(x) for x in args.nu_list.split(",") if x.strip()] if args.nu_list else []
     free = _parse_fraction_list(args.free) if args.free else None
-    perturb_key, perturb_val = None, "0"
-    if args.perturb:
-        cell, _, delta = args.perturb.partition(":")
-        nu_p, mu_p, n_p = (x.strip() for x in cell.split(","))
-        perturb_key = (int(nu_p), Fraction(mu_p), int(n_p))
-        perturb_val = delta or "1/2"
-
-    cells = []
+    mu_list = [_parse_fraction(x) for x in args.mu_list.split(",")] if args.mu_list else None
+    grid = []
     for n in range(args.n_min, args.n_max + 1):
         for nu in nus:
-            if args.mu_list:
-                mus = [_parse_fraction(x) for x in args.mu_list.split(",")]
-            else:
-                mus = [Fraction(m) for m in range(nu, n + 1)]
-            for mu in mus:
-                delta = (
-                    perturb_val
-                    if perturb_key == (nu, Fraction(mu), n)
-                    else "0"
-                )
-                cells.append((args.which, nu, str(mu), n, free, delta))
+            mus = mu_list or [Fraction(m) for m in range(nu, n + 1)]
+            grid += [(nu, mu, n) for mu in mus]
+    perturb_key, perturb_val = None, Fraction(0)
+    if args.perturb:
+        cell, _, delta = args.perturb.partition(":")
+        if cell.count(",") != 2:
+            raise UsageError(f"--perturb expects 'nu,mu,N[:delta]', got {args.perturb!r}")
+        nu_p, mu_p, n_p = (x.strip() for x in cell.split(","))
+        perturb_key = (int(nu_p), _parse_fraction(mu_p), int(n_p))
+        perturb_val = _parse_fraction(delta or "1/2")
+        if perturb_key not in grid:
+            raise UsageError(f"--perturb {args.perturb!r} names no cell of the grid")
+    cells = [
+        (args.which, nu, str(mu), n, free, perturb_val if (nu, mu, n) == perturb_key else 0)
+        for nu, mu, n in grid
+    ]
 
     workers = _thread_count(args.threads)
     results = {}

@@ -27,14 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .linalg import (
-    TrackedPaths,
-    Trajectory,
-    _walk,
-    eigenvalues,
-    integrate_ode,
-    track_trajectories,
-)
+from .linalg import TrackedPaths, Trajectory, _lapack, _walk, eigenvalues, integrate_ode
 from .polynomials import (
     PLAIN,
     TILDE,
@@ -433,26 +426,24 @@ def trick_transform_state(direction: str, values, velocities, kind: str, t: floa
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def trick_transform(direction: str, obj, kind: str):
-    """Apply the exponential time substitution to a state or trajectory.
+def trick_transform(direction: str, obj: Trajectory, kind: str) -> Trajectory:
+    """Apply the exponential time substitution to a trajectory, row by row
+    through :func:`trick_transform_state` (the form for a single state).
 
-    Trajectories must be sampled at real times ``t``; their rows hold the
+    The trajectory must be sampled at real times ``t``; its rows hold the
     flattened ``(values, velocities)`` pair, with derivative taken with
     respect to the native time of the input world.
     """
+    if not isinstance(obj, Trajectory):
+        raise TypeError(f"expected a Trajectory, got {type(obj).__name__}")
     direction = direction.lower()
     kind = kind.lower()
-    if isinstance(obj, Trajectory):
-        half = obj.dim // 2
-        rows = []
-        for t, row in zip(obj.times, obj.states):
-            val, vel = trick_transform_state(direction, row[:half], row[half:], kind, float(t))
-            rows.append(np.concatenate([val, vel]))
-        return Trajectory(obj.times, np.array(rows))
-    if isinstance(obj, (tuple, list)) and len(obj) in (2, 3):
-        t = float(obj[2]) if len(obj) == 3 else 0.0
-        return trick_transform_state(direction, obj[0], obj[1], kind, t)
-    raise TypeError("expected a Trajectory or a (values, velocities[, t]) tuple")
+    half = obj.dim // 2
+    rows = []
+    for t, row in zip(obj.times, obj.states):
+        val, vel = trick_transform_state(direction, row[:half], row[half:], kind, float(t))
+        rows.append(np.concatenate([val, vel]))
+    return Trajectory(obj.times, np.array(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -560,21 +551,14 @@ def _matrix_companion(spec: ModelSpec) -> ModelSpec:
     raise ValueError(f"{spec.system.value} has no matrix companion")
 
 
-def _eigen_velocities(U: np.ndarray, Udot: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Velocities of the eigenvalue branches, ordered like ``order``.
+def _eigen_velocities(R: np.ndarray, Udot: np.ndarray) -> np.ndarray:
+    """Velocities of the eigenvalue branches whose eigenvectors are the
+    columns of ``R``, in that order.
 
-    Uses the similarity-transport identity: with ``R`` the eigenvector
-    matrix of ``U`` arranged in branch order, the branch velocities are
-    the diagonal entries of ``R^-1 Udot R``.
+    Uses the similarity-transport identity: the branch velocities are the
+    diagonal entries of ``R^-1 Udot R``.
     """
-    vals, vecs = np.linalg.eig(U)
-    cost = np.abs(order[:, None] - vals[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(len(vals), dtype=int)
-    perm[rows] = cols
-    R = vecs[:, perm]
-    W = np.linalg.solve(R, Udot @ R)
-    return np.diag(W).copy()
+    return np.diag(np.linalg.solve(R, Udot @ R)).copy()
 
 
 def simulate(
@@ -649,15 +633,17 @@ def simulate(
 
     init = build_matrix_initial_data(pspec, particle0)
     sampler = _matrix_flow_sampler(pspec, init, t_samples, tol)
-    # each requested sample is evaluated once; only refinement asks for more
+    # each requested sample is evaluated and decomposed once, and the walk's
+    # slots label its eigenvectors; only refinement asks for more frames
     flows = [sampler(float(t)) for t in t_samples]
-    frames = [eigenvalues(U) for U, _ in flows]
+    decomps = [_lapack(np.linalg.eig, U) for U, _ in flows]
+    frames = [vals for vals, _ in decomps]
     tracked = _walk(t_samples, frames, lambda t: eigenvalues(sampler(t)[0]))
 
     rows = []
-    for j, (U, Udot) in enumerate(flows):
+    for j, ((_, Udot), (_, vecs)) in enumerate(zip(flows, decomps)):
         order = tracked.paths[:, j]
-        zdot = _eigen_velocities(U, Udot, order)
+        zdot = _eigen_velocities(vecs[:, tracked.slots[:, j]], Udot)
         if spec.system in _COEFFICIENT:
             cvals = from_roots(order, conv).coeffs[1:]
             cdots = coeff_velocities(order, zdot, conv)
@@ -674,7 +660,7 @@ def eigenvalue_paths(result: SimulationResult) -> TrackedPaths:
         raise ValueError("eigenvalue_paths expects a matrix-flow result")
     n = result.spec.N
     frames = [eigenvalues(row[: n * n].reshape(n, n)) for row in result.trajectory.states]
-    return track_trajectories(frames, result.trajectory.times)
+    return _walk(result.trajectory.times, frames)
 
 
 # ---------------------------------------------------------------------------

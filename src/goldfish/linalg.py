@@ -12,7 +12,7 @@ of the (meromorphic) solutions handled by this package and is reported as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -59,6 +59,20 @@ class AmbiguousTrackingError(RuntimeError):
         )
 
 
+def _lapack(routine, m):
+    """``routine(m)`` on a checked square finite complex matrix, with
+    LAPACK's convergence failure raised as :class:`EigenvalueError`."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    try:
+        return routine(a)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise EigenvalueError(f"eigenvalue iteration did not converge: {exc}") from exc
+
+
 def eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a square complex matrix, with multiplicity.
 
@@ -75,15 +89,7 @@ def eigenvalues(m) -> np.ndarray:
     ndarray of complex
         The ``n`` eigenvalues in LAPACK order (no sorting is applied).
     """
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    try:
-        return np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigenvalueError(f"eigenvalue iteration did not converge: {exc}") from exc
+    return _lapack(np.linalg.eigvals, m)
 
 
 @dataclass(frozen=True)
@@ -215,16 +221,20 @@ def integrate_ode(rhs, y0, t_span, tol=1e-10, t_eval=None, return_dense=False, o
 class TrackedPaths:
     """Continuously labelled eigenvalue branches.
 
-    ``paths[k, j]`` is branch ``k`` at ``times[j]``; at every time the
-    branch values are exactly a permutation of the input frame (tracking
-    relabels, it never alters values).  ``monodromy`` is the composition
-    of all frame-to-frame assignments: branch ``k`` ends on the slot
-    ``monodromy[k]`` of the final frame.
+    ``paths[k, j]`` is branch ``k`` at ``times[j]``, and ``slots[k, j]``
+    is its slot in the input frame of that time: ``paths[:, j] ==
+    frames[j][slots[:, j]]``, so tracking relabels and never alters
+    values.  ``monodromy`` is the final frame's slot map: branch ``k``
+    ends on slot ``monodromy[k]`` of the final frame.
     """
 
     times: np.ndarray
     paths: np.ndarray
-    monodromy: tuple[int, ...] = field(default=())
+    slots: np.ndarray
+
+    @property
+    def monodromy(self) -> tuple[int, ...]:
+        return tuple(int(p) for p in self.slots[:, -1])
 
 
 def multiset_distance(a, b) -> float:
@@ -268,8 +278,8 @@ def _walk(times, frames, refine=None, max_refine=4000) -> TrackedPaths:
     """
     lo = times[0]
     current = frames[0]
-    columns = [current]
     perm = np.arange(current.size)
+    slots = [perm]
     walked = 0  # frames passed so far, requested and inserted
     inserted = 0
     for t, frame in zip(times[1:], frames[1:]):
@@ -288,11 +298,9 @@ def _walk(times, frames, refine=None, max_refine=4000) -> TrackedPaths:
             pending.pop()
             lo, current = hi, new[perm]
             walked += 1
-        columns.append(current)
-    # perm is indexed by branch, so it already is the composition of all
-    # slot-to-slot assignments: the last one is the monodromy
-    monodromy = tuple(int(p) for p in perm)
-    return TrackedPaths(np.asarray(times), np.column_stack(columns), monodromy)
+        slots.append(perm)
+    paths = np.column_stack([frame[slot] for frame, slot in zip(frames, slots)])
+    return TrackedPaths(np.asarray(times), paths, np.column_stack(slots))
 
 
 def track_trajectories(frames, times) -> TrackedPaths:

@@ -25,7 +25,11 @@ are tracked again over the whole frame list after every inserted
 midpoint): the library's compiled right-hand side and its local
 refinement must reproduce these results bit for bit.  The frame-by-frame
 tracking loop is kept here too, so that the walker the library's
-tracking and spectral route share is checked against a loop of its own.
+tracking and spectral route share is checked against a loop of its own,
+and so are the spectral branch velocities from a second decomposition of
+every sample, matched to the branches by an assignment of its own: the
+library labels the eigenvectors of its one decomposition with the
+walker's slots and must give the same velocities bit for bit.
 
 The paper identities that no report uses live here too: the
 generating-polynomial residual of the coefficient dynamics, the quartic
@@ -42,6 +46,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from goldfish.dynamics import ModelSpec, ParticleState, System, eval_rhs
 from goldfish.linalg import (
@@ -99,12 +104,13 @@ def track(frames, times):
     preallocated path array; no refinement."""
     frames = [np.asarray(fr, dtype=complex) for fr in frames]
     paths = np.empty((frames[0].size, len(frames)), dtype=complex)
+    slots = np.empty(paths.shape, dtype=int)
     paths[:, 0] = frames[0]
-    monodromy = np.arange(frames[0].size)
+    slots[:, 0] = np.arange(frames[0].size)
     for j in range(1, len(frames)):
-        monodromy = _match_step(paths[:, j - 1], frames[j], j - 1)
-        paths[:, j] = frames[j][monodromy]
-    return TrackedPaths(np.asarray(times, dtype=float), paths, tuple(map(int, monodromy)))
+        slots[:, j] = _match_step(paths[:, j - 1], frames[j], j - 1)
+        paths[:, j] = frames[j][slots[:, j]]
+    return TrackedPaths(np.asarray(times, dtype=float), paths, slots)
 
 
 def spectral_frames(sampler, t_samples, max_refine=4000):
@@ -130,7 +136,22 @@ def spectral_frames(sampler, t_samples, max_refine=4000):
             inserted += 1
             continue
         keep = [j for j, t in enumerate(ts) if t in requested]
-        return TrackedPaths(np.asarray(times), tracked.paths[:, keep], tracked.monodromy)
+        return TrackedPaths(np.asarray(times), tracked.paths[:, keep], tracked.slots[:, keep])
+
+
+def eigen_velocities(U, Udot, order):
+    """Velocities of the eigenvalue branches ``order`` of ``U``: a second
+    decomposition of ``U``, its eigenvalues matched to ``order`` by a
+    minimum-cost assignment, then the diagonal of ``R^-1 Udot R`` with the
+    eigenvectors ``R`` arranged in branch order."""
+    vals, vecs = np.linalg.eig(U)
+    cost = np.abs(order[:, None] - vals[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    perm = np.empty(len(vals), dtype=int)
+    perm[rows] = cols
+    R = vecs[:, perm]
+    W = np.linalg.solve(R, Udot @ R)
+    return np.diag(W).copy()
 
 
 def coefficient_rhs(spec, c, cdot):

@@ -283,6 +283,18 @@ def test_sweep_negative_control(tmp_path):
     assert failed == ["nu=0,mu=1,N=2,0".replace(",0", ",0")] or len(failed) == 1
 
 
+@pytest.mark.parametrize("perturb", ["0,1/0,3", "0,1,3:1/0", "0,1,9", "0,1"])
+def test_sweep_rejects_bad_perturb(capsys, perturb):
+    """A --perturb with an unreadable rational or the wrong number of
+    fields, or naming no grid cell, is a usage error before any cell
+    runs."""
+    argv = ["sweep", "--which", "integrality", "--n-max", "3", "--threads", "1"]
+    assert run(argv + ["--perturb", perturb]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_sweep_empty_grid(tmp_path):
     out = tmp_path / "empty.json"
     code = run(

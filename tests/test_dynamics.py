@@ -24,6 +24,7 @@ from goldfish.dynamics import (
     trick_transform_state,
 )
 from goldfish.linalg import AmbiguousTrackingError, Trajectory, eigenvalues
+from goldfish.polynomials import PLAIN, TILDE, coeff_velocities
 
 
 def multiset_dev(a, b):
@@ -134,7 +135,8 @@ def test_matrix_init_velocity_diagonal():
     spec = ModelSpec(System.GOLD, 3, a2=0.2 + 0.1j)
     state = random_state(rng, 3, scale=1.0)
     init = build_matrix_initial_data(spec, state)
-    w = dynamics._eigen_velocities(init.U, init.Udot, state.z)
+    vals, vecs = np.linalg.eig(init.U)
+    w = dynamics._eigen_velocities(vecs[:, linalg._match_step(state.z, vals, 0)], init.Udot)
     assert float(np.max(np.abs(w - state.zdot))) < 1e-12
 
 
@@ -233,6 +235,9 @@ def test_trick_zero_maps_to_zero():
     zero = Trajectory(t, np.zeros((7, 4), dtype=complex))
     out = trick_transform("forward", zero, "particle")
     assert np.all(out.states == 0)
+    # a single state goes through trick_transform_state
+    with pytest.raises(TypeError):
+        trick_transform("forward", (zero.states[0, :2], zero.states[0, 2:]), "particle")
 
 
 def test_trick_forward_backward_inverse():
@@ -509,18 +514,48 @@ def _walk_sampler(sampler, t_samples, max_refine=4000):
     return linalg._walk(t_samples, [frame(float(t)) for t in t_samples], frame, max_refine)
 
 
-def test_spectral_frames_equal_oracle():
-    """Local refinement makes the same matches, inserts the same frames
-    and gives up on the same interval as tracking the whole frame list
-    again after every inserted midpoint."""
+def _gold_samplers(t):
+    """Matrix-flow samplers of twelve goldfish runs over ``t`` whose
+    spectral walks need refinement."""
     rng = np.random.default_rng(28)
-    t = np.linspace(0.0, 1.0, 21)
-    inserted = refused = 0
     for k in range(12):
         n = (2, 3, 4)[k % 3]
         spec = ModelSpec(System.GOLD, n, a2=(0.0, -1.0, 1 + 1j)[k % 3])
         init = build_matrix_initial_data(spec, random_state(rng, n, scale=1.0))
-        sampler = dynamics._matrix_flow_sampler(spec, init, t, 1e-11)
+        yield dynamics._matrix_flow_sampler(spec, init, t, 1e-11)
+
+
+def test_walk_slots_index_the_requested_frames():
+    """On refined walks, every branch value is the entry of its slot in
+    the requested frame, bit for bit, and each slot column is a
+    permutation."""
+    t = np.linspace(0.0, 1.0, 21)
+    inserted = 0
+    for sampler in _gold_samplers(t):
+        frames = [eigenvalues(sampler(float(s))[0]) for s in t]
+        refined = []
+
+        def frame(s):
+            refined.append(s)
+            return eigenvalues(sampler(s)[0])
+
+        tracked = linalg._walk(t, frames, frame)
+        inserted += len(refined)
+        assert tracked.slots.shape == tracked.paths.shape
+        for j, fr in enumerate(frames):
+            assert sorted(tracked.slots[:, j]) == list(range(fr.size))
+            assert same_bits(tracked.paths[:, j], fr[tracked.slots[:, j]])
+        assert tracked.monodromy == tuple(int(p) for p in tracked.slots[:, -1])
+    assert inserted > 0
+
+
+def test_spectral_frames_equal_oracle():
+    """Local refinement makes the same matches, inserts the same frames
+    and gives up on the same interval as tracking the whole frame list
+    again after every inserted midpoint."""
+    t = np.linspace(0.0, 1.0, 21)
+    inserted = refused = 0
+    for sampler in _gold_samplers(t):
         runs = []
         for frames in (_walk_sampler, oracles.spectral_frames):
             calls = []
@@ -533,6 +568,7 @@ def test_spectral_frames_equal_oracle():
         (got, got_calls), (want, want_calls) = runs
         assert same_bits(got.times, want.times)
         assert same_bits(got.paths, want.paths)
+        assert np.array_equal(got.slots, want.slots)
         assert got.monodromy == want.monodromy
         assert sorted(got_calls) == sorted(want_calls)
         inserted += len(got_calls) - t.size
@@ -547,6 +583,65 @@ def test_spectral_frames_equal_oracle():
             assert errors[0] == errors[1]
             refused += errors[0] is not None
     assert inserted > 0 and refused > 0
+
+
+@pytest.mark.parametrize("system", sorted(dynamics._SPECTRAL_OK, key=lambda s: s.value))
+def test_spectral_velocities_equal_oracle(monkeypatch, system):
+    """The spectral route decomposes each requested sample once, and the
+    walk's slots label both its eigenvalues and its eigenvectors: the
+    branch velocities equal, bit for bit, those of a second decomposition
+    matched to the branches by an assignment of its own."""
+    rng = np.random.default_rng(list(System).index(system))
+    calls = {"eig": 0, "eigvals": 0, "sampler": 0}
+    for name in ("eig", "eigvals"):
+
+        def counted(a, name=name, routine=getattr(np.linalg, name)):
+            calls[name] += 1
+            return routine(a)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    real_sampler = dynamics._matrix_flow_sampler
+    samplers = []
+
+    def spy(*args):
+        sampler = real_sampler(*args)
+        samplers.append(sampler)
+
+        def at(s):
+            calls["sampler"] += 1
+            return sampler(s)
+
+        return at
+
+    monkeypatch.setattr(dynamics, "_matrix_flow_sampler", spy)
+    t = np.linspace(0.0, 2.0, 6)
+    inserted = 0
+    for n in range(2, 6):
+        if system in (System.ALTGOLD, System.ALTISOGOLD):
+            a2 = complex(*rng.standard_normal(2)) if system is System.ALTGOLD else 0.0
+            spec = ModelSpec(system, n, a2=a2)
+            c, cdot = 0.3 * (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
+            state = CoefficientState(c, cdot)
+        else:
+            spec = _random_particle_spec(rng, system, n)
+            state = random_state(rng, n)
+        for key in calls:
+            calls[key] = 0
+        res = simulate(spec, state, t, "spectral", tol=1e-11)
+        assert calls["eig"] == t.size
+        assert calls["eig"] + calls["eigvals"] == calls["sampler"]
+        inserted += calls["eigvals"]
+        for j, s in enumerate(t):
+            U, Udot = samplers[-1](float(s))
+            order = res.tracked.paths[:, j]
+            vals, _ = np.linalg.eig(U)
+            assert same_bits(order, vals[res.tracked.slots[:, j]]), (system, n, j)
+            want = oracles.eigen_velocities(U, Udot, order)
+            if system in (System.ALTGOLD, System.ALTISOGOLD):
+                conv = TILDE if system is System.ALTISOGOLD else PLAIN
+                want = coeff_velocities(order, want, conv)
+            assert same_bits(res.velocities[j], want), (system, n, j)
+    assert inserted > 0
 
 
 # ---------------------------------------------------------------------------

@@ -290,5 +290,6 @@ def test_tracking_equals_oracle():
             continue
         assert np.array_equal(got.paths.view(np.uint64), want.paths.view(np.uint64))
         assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.slots, want.slots)
         assert got.monodromy == want.monodromy
     assert 0 < refused < 150
