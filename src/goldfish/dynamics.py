@@ -307,7 +307,7 @@ def _iso_bracket(c, w, ms):
 
     ``c`` and ``w`` hold ``c_1..c_N`` and ``w_1..w_N`` of any scalar type
     with ``+``, ``-``, ``*`` and integer powers (complex, ``Fraction``, a
-    jet).  ``c_0 = 1``, ``w_0 = 0``, and all other out-of-range members
+    polynomial).  ``c_0 = 1``, ``w_0 = 0``, and all other out-of-range members
     are zero: the two trailing zeros serve ``m + 1`` and ``m + 2`` and,
     through negative indexing, ``m - 1`` and ``m - 2``.
     """

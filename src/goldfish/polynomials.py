@@ -188,7 +188,7 @@ class IntegerPolynomial:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        c = [Fraction(x) for x in self.coeffs]
+        c = [_as_fraction(x) for x in self.coeffs]
         while len(c) > 1 and c[-1] == 0:
             c.pop()
         if not c:

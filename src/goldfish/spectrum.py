@@ -15,6 +15,8 @@ conjectured formula disagrees with the exact one.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,31 +65,36 @@ def _as_cbar(config_or_cbar) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in config_or_cbar)
 
 
-class _Jet:
-    """An exact (int or Fraction) value with its sparse gradient
-    ``{variable index: exact value}``: forward-mode differentiation through
-    ``+``, ``-``, ``*`` and integer powers, enough for the polynomial
-    recurrence brackets.  A gradient dict is never mutated once built, so
-    jets may share one."""
+def _collect(pairs) -> dict:
+    """Sum ``(key, coefficient)`` pairs by key, dropping zero sums."""
+    out = {}
+    for key, a in pairs:
+        out[key] = out.get(key, 0) + a
+    return {key: a for key, a in out.items() if a}
 
-    __slots__ = ("value", "grad")
 
-    def __init__(self, value, grad):
-        self.value = value
-        self.grad = grad
+class _Poly:
+    """A polynomial with integer coefficients over numbered variables,
+    ``{sorted tuple of variable indices: coefficient}``: just enough
+    arithmetic (``+``, ``-``, ``*``, integer powers) to run a recurrence
+    bracket symbolically.  Plain ints act as constants."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    @staticmethod
+    def _terms(x) -> dict:
+        return x.terms if isinstance(x, _Poly) else {(): x}
 
     def __add__(self, other):
-        if not isinstance(other, _Jet):
-            return _Jet(self.value + other, self.grad)
-        grad = dict(self.grad)
-        for k, g in other.grad.items():
-            grad[k] = grad.get(k, 0) + g
-        return _Jet(self.value + other.value, grad)
+        return _Poly(_collect([*self.terms.items(), *_Poly._terms(other).items()]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _Jet(-self.value, {k: -g for k, g in self.grad.items()})
+        return self * -1
 
     def __sub__(self, other):
         return self + -other
@@ -96,18 +103,43 @@ class _Jet:
         return -self + other
 
     def __mul__(self, other):
-        if not isinstance(other, _Jet):
-            return _Jet(self.value * other, {k: other * g for k, g in self.grad.items()})
-        grad = {k: other.value * g for k, g in self.grad.items()}
-        for k, g in other.grad.items():
-            grad[k] = grad.get(k, 0) + self.value * g
-        return _Jet(self.value * other.value, grad)
+        other = _Poly._terms(other).items()
+        products = ((tuple(sorted(m + n)), a * b) for m, a in self.terms.items() for n, b in other)
+        return _Poly(_collect(products))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        scale = k * self.value ** (k - 1)
-        return _Jet(self.value ** k, {i: scale * g for i, g in self.grad.items()})
+        return math.prod([self] * k)
+
+
+@functools.lru_cache(maxsize=None)
+def _pencil_template(N: int):
+    """``A = dF/dw`` and ``B = -dF/dc`` at ``w = 0`` as integer polynomials
+    in ``cbar`` (variables ``0..N-1``), derived once per ``N`` from
+    :func:`_iso_bracket`: the nonzero entries ``(row, column, ((coefficient,
+    monomial), ...))`` of each matrix, and the largest monomial degree."""
+    c = [_Poly({(m,): 1}) for m in range(N)]
+    w = [_Poly({(N + m,): 1}) for m in range(N)]
+    A, B = [], []
+    for row, f in enumerate(_iso_bracket(c, w, range(1, N + 1))):
+        # dF_row / d(variable v) at w = 0, keyed by (v, monomial)
+        grad = _collect(
+            ((v, mono[:i] + mono[i + 1 :]), a * mono.count(v))
+            for mono, a in f.terms.items()
+            for i, v in enumerate(mono)
+            if i == mono.index(v) and all(u < N for u in mono[:i] + mono[i + 1 :])
+        )
+        entries = {}
+        for (v, mono), a in grad.items():
+            entries.setdefault(v, []).append((a if v >= N else -a, mono))
+        for v, terms in sorted(entries.items()):
+            (A if v >= N else B).append((row, v % N, tuple(terms)))
+    degree = max(len(mono) for *_, terms in A + B for _, mono in terms)
+    return tuple(A), tuple(B), degree
+
+
+_ZERO = Fraction(0)
 
 
 def build_pencil(config_or_cbar) -> QuadraticPencil:
@@ -116,20 +148,34 @@ def build_pencil(config_or_cbar) -> QuadraticPencil:
 
     With ``cddot = -F(c, w)``, ``w = i cdot`` and ``c = cbar + r exp(i p t)``,
     the first-order terms give ``(p^2 + A p + B) r = 0`` with
-    ``A = dF/dw`` and ``B = -dF/dc`` at ``(cbar, 0)``, read off exactly by
-    forward-mode differentiation of the recurrence.
+    ``A = dF/dw`` and ``B = -dF/dc`` at ``(cbar, 0)``.  Both come from a
+    per-``N`` template of integer polynomials in ``cbar``, differentiated
+    symbolically from :func:`_iso_bracket`, evaluated on the integers
+    ``x = d cbar`` (``d`` the common denominator) over ``d^degree``.
     """
     cb = _as_cbar(config_or_cbar)
     N = len(cb)
     if N < 1:
         raise ValueError("need at least one coefficient")
-    # integral entries run as ints, which multiply far faster than Fractions
-    c = [_Jet(x.numerator if x.denominator == 1 else x, {m: 1}) for m, x in enumerate(cb)]
-    w = [_Jet(0, {N + m: 1}) for m in range(N)]
-    F = _iso_bracket(c, w, range(1, N + 1))
-    A = tuple(tuple(Fraction(f.grad.get(N + m, 0)) for m in range(N)) for f in F)
-    B = tuple(tuple(-Fraction(f.grad.get(m, 0)) for m in range(N)) for f in F)
-    return QuadraticPencil(A, B)
+    A_entries, B_entries, degree = _pencil_template(N)
+    d = math.lcm(*(v.denominator for v in cb))
+    x = [v.numerator * (d // v.denominator) for v in cb]
+    scale = [d ** (degree - k) for k in range(degree + 1)]
+    den = d ** degree
+
+    def evaluate(entries):
+        rows = [[_ZERO] * N for _ in range(N)]
+        for i, j, terms in entries:
+            total = 0
+            for a, mono in terms:
+                t = a * scale[len(mono)]
+                for v in mono:
+                    t *= x[v]
+                total += t
+            rows[i][j] = Fraction(total, den)
+        return tuple(map(tuple, rows))
+
+    return QuadraticPencil(evaluate(A_entries), evaluate(B_entries))
 
 
 def solve_pencil_numeric(pencil: QuadraticPencil) -> np.ndarray:

@@ -342,14 +342,26 @@ def test_isochronous_small_system_period():
 
 
 def test_matrix_flow_monodromy_order():
-    rng = np.random.default_rng(15)
-    z0 = 0.25 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-    v0 = 0.25 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-    init = build_matrix_initial_data(ModelSpec(System.ISOGOLD, 2), ParticleState(z0, v0))
-    t = np.linspace(0, 2 * np.pi, 257)
-    run = simulate(ModelSpec(System.MATRIX_UTILDE, 2), init, t, tol=1e-11)
-    paths = eigenvalue_paths(run)
-    assert oracles.permutation_order(paths.monodromy) in (1, 2)
+    """The loop permutation of the matrix flow's eigenvalues over one period
+    (start values matched to end values) has the order of the period that
+    a direct isogold run of the same draw shows: seed 15 exchanges the two
+    particles, seed 2 returns each to its start."""
+    k = 32
+    for seed, period in ((15, 2), (2, 1)):
+        rng = np.random.default_rng(seed)
+        z0 = 0.25 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        v0 = 0.25 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        state = ParticleState(z0, v0)
+        init = build_matrix_initial_data(ModelSpec(System.ISOGOLD, 2), state)
+        t = np.linspace(0, 2 * np.pi, 257)
+        run = simulate(ModelSpec(System.MATRIX_UTILDE, 2), init, t, tol=1e-11)
+        paths = eigenvalue_paths(run).paths
+        loop = linalg._match_step(paths[:, 0], paths[:, -1], 0)
+        t_direct = np.arange(3 * k + 1) * (2 * np.pi / k)
+        direct = simulate(ModelSpec(System.ISOGOLD, 2), state, t_direct, tol=1e-11)
+        rep = detect_period(direct.trajectory, "particle", p_max=2, tol=1e-6)
+        assert rep.p == period, seed
+        assert oracles.permutation_order(loop) == period, seed
 
 
 # ---------------------------------------------------------------------------

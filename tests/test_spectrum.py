@@ -82,11 +82,22 @@ def test_pencil_equals_oracle_on_grid():
 
 @given(
     st.lists(
-        st.fractions(min_value=-20, max_value=20, max_denominator=12), min_size=1, max_size=8
+        st.fractions(min_value=-20, max_value=20, max_denominator=60), min_size=1, max_size=14
     )
 )
 def test_pencil_equals_oracle_on_random_cbar(cbar):
     assert build_pencil(cbar) == oracles.pencil(cbar)
+
+
+def test_pencil_equals_oracle_at_large_n():
+    """The per-N template stays exact past the grid: every nu at mu = nu
+    and mu = N, c_1 unshifted and shifted by 1/2, and nu = 5 at c = 7/2."""
+    for n in range(11, 21):
+        cbars = [cbar_closed_form(nu, mu, n) for nu in (0, 1, 3, 4, 5) for mu in (nu, n)]
+        cbars.append(cbar_closed_form(5, 5, n, Fraction(7, 2)))
+        for cbar in cbars:
+            for cb in (cbar, (cbar[0] + Fraction(1, 2),) + cbar[1:]):
+                assert build_pencil(cb) == oracles.pencil(cb), cb
 
 
 def _assert_exact_kernels_match_oracles(pen):
