@@ -196,6 +196,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_isochrony(args) -> int:
+    if args.samples_per_period < 2:
+        raise UsageError("--samples-per-period must be at least 2")
+    if args.p_max < 0:
+        raise UsageError("--p-max must be >= 0 (0: auto)")
     spec = _build_spec(args)
     rng = np.random.default_rng(args.seed)
     if args.z0 or args.c0:

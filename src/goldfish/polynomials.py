@@ -268,6 +268,18 @@ def _linear_product(roots) -> list:
     return c
 
 
+def _deflate(coeffs, r):
+    """Synthetic division of ``sum_k coeffs[k] x^k`` (ascending) by
+    ``x - r``: the ascending quotient and the remainder, which is the value
+    at ``r``.  Generic over the scalar type, like :func:`_horner`."""
+    carry = 0
+    quotient = []
+    for a in reversed(coeffs[1:]):
+        carry = carry * r + a
+        quotient.append(carry)
+    return quotient[::-1], carry * r + coeffs[0]
+
+
 def _bareiss_det(rows: list[list[int]]) -> int:
     """Exact determinant of an integer matrix by fraction-free (Bareiss)
     elimination.  Each step replaces the matrix by its trailing minor; every
@@ -294,29 +306,6 @@ def _bareiss_det(rows: list[list[int]]) -> int:
     return sign * rows[0][0]
 
 
-def _lagrange_interpolate(points, values) -> tuple[list[int], int]:
-    """Exact Lagrange interpolation through integer nodes and values.
-
-    Returns integer coefficients ``num`` (ascending) and one common
-    denominator ``den``: the interpolant is ``sum_k num[k] x^k / den``.
-    Each basis polynomial is the node polynomial ``prod_j (x - x_j)``
-    divided synthetically by its own ``(x - x_i)``.
-    """
-    node = _linear_product(points)
-    weights = [math.prod(xi - xj for xj in points if xj != xi) for xi in points]
-    den = math.lcm(*weights)
-    num = [0] * len(points)
-    for xi, yi, wi in zip(points, values, weights):
-        if yi == 0:
-            continue
-        f = yi * (den // wi)
-        carry = 0
-        for k in range(len(points), 0, -1):
-            carry = node[k] + carry * xi
-            num[k - 1] += f * carry
-    return num, den
-
-
 def _border_width(Ai, Bi) -> int:
     """Smallest ``k`` such that ``Ai`` and ``Bi`` are upper triangular on
     rows and columns ``>= k``; a dense matrix gives ``n - 1``."""
@@ -326,20 +315,20 @@ def _border_width(Ai, Bi) -> int:
 
 def _node_determinant(Ai, Bi, D: int, k: int):
     """``det_at(p) = det(M)`` for the integer matrix ``M = D p^2 I + p Ai + Bi``
-    whose trailing block ``T = M[k:, k:]`` is upper triangular, or ``None``
-    where a diagonal quadratic ``q_j = D p^2 + p Ai[j][j] + Bi[j][j]``
-    (``j >= k``) vanishes.
+    whose trailing block ``T = M[k:, k:]`` is upper triangular, at an
+    integer ``p`` where no diagonal quadratic
+    ``q_j = D p^2 + p Ai[j][j] + Bi[j][j]`` (``j >= k``) vanishes.
 
     Uses the Schur complement of ``T``.  ``T X = M[k:, :k]`` is solved by
     back substitution over the nonzeros of ``T``, carrying
     ``Y_i = d_i X_i`` with ``d_i = prod_(j >= i) q_j``, so every step stays
     in integers.  A row of ``X`` that the nonzero pattern forces to zero
     (nothing in ``M[i, :k]``, and no entry of ``T`` reaching a nonzero row)
-    is never formed.  With ``dk = d_k``, ``dk S = dk M[:k, :k] - M[:k, k:] dk X``
-    is a ``k x k`` integer matrix and ``det M = det(dk S) / dk^(k - 1)``,
-    the one (exact) division per node, taken as ``det(dk S) dk / dk^k`` so
-    that ``k = 0`` needs no case of its own.  At ``k = n``, ``T`` is empty
-    and this is plain Bareiss on ``M``.
+    is never formed.  With ``dk = d_k = det T``,
+    ``dk S = dk M[:k, :k] - M[:k, k:] dk X`` is a ``k x k`` integer matrix
+    and ``det M = det(dk S) / dk^(k - 1)``, the one (exact) division per
+    evaluation; at ``k = 0``, ``M`` is triangular and ``det M = dk``.  At
+    ``k = n``, ``T`` is empty and this is plain Bareiss on ``M``.
     """
     n = len(Ai)
     nonzero = set()  # rows of X, less k, that the pattern lets be nonzero
@@ -363,12 +352,13 @@ def _node_determinant(Ai, Bi, D: int, k: int):
     diagonal = [(Ai[i][i], Bi[i][i]) for i in range(k, n)]
     columns = range(k)
 
-    def det_at(p: int) -> int | None:
+    def det_at(p: int) -> int:
         d2 = D * p * p
         q = [d2 + p * a + b for a, b in diagonal]
-        if not all(q):
-            return None
         d = list(itertools.accumulate(reversed(q), operator.mul, initial=1))[::-1]
+        dk = d[0]
+        if not k:
+            return dk
         Y = {}
         for i, entries, upper in solve:
             # Y_i = d_(i+1) C_i - sum_j T_ij (d_(i+1) / d_j) Y_j
@@ -379,7 +369,6 @@ def _node_determinant(Ai, Bi, D: int, k: int):
                 for c in columns:
                     y[c] -= t * yj[c]
             Y[i] = y
-        dk = d[0]
         S = []
         for a, (entries, right) in enumerate(border):
             row = [dk * (p * x + y) for x, y in entries]
@@ -390,12 +379,28 @@ def _node_determinant(Ai, Bi, D: int, k: int):
                 for c in columns:
                     row[c] -= t * yj[c]
             S.append(row)
-        det, rem = divmod(_bareiss_det(S) * dk, dk**k)
+        det, rem = divmod(_bareiss_det(S), dk ** (k - 1))
         if rem:
             raise ArithmeticError("Schur complement determinant is not exact")
         return det
 
     return det_at
+
+
+def _node_bits(Ai, Bi, D: int) -> int:
+    """Width ``b`` of the node ``2^b`` for ``M(p) = D p^2 I + p Ai + Bi``.
+
+    In the row-sum norm every eigenvalue has ``|l|^2 <= |l| |A| + |B|``, so
+    ``|l| <= r = |A| + sqrt(|B|)``, as has every root of a diagonal
+    quadratic.  Coefficient ``k`` of ``det M(p) = D^N prod (p - l_i)`` is then
+    at most ``D^N C(2N, k) r^k <= D^N (1 + r)^(2N)``; with ``r`` rounded up,
+    ``2^(b - 1)`` exceeds twice that.
+    """
+    n = len(Ai)
+    a = max((sum(map(abs, row)) for row in Ai), default=0)
+    b = max((sum(map(abs, row)) for row in Bi), default=0)
+    r = -(-a // D) + math.isqrt(-(-b // D)) + 1
+    return (2 * D**n * (1 + r) ** (2 * n)).bit_length() + 1
 
 
 def pencil_charpoly_exact(A, B) -> IntegerPolynomial:
@@ -406,26 +411,24 @@ def pencil_charpoly_exact(A, B) -> IntegerPolynomial:
     matrix at every integer ``p`` and the determinant is
     ``det M(p) / D^N``.
 
+    * **One node.**  ``det M(p)`` is taken once, at ``p = 2^b``
+      (:func:`_node_bits`), where every coefficient lies below
+      ``2^(b - 1)`` in magnitude and no diagonal quadratic vanishes.  The
+      ``2N + 1`` balanced base-``2^b`` digits of the value are the
+      coefficients, and nothing may be left over (Kronecker substitution).
     * **Border.**  ``k`` is the smallest index with ``A`` and ``B`` upper
       triangular on rows and columns ``>= k``.  Every pencil of the
       isochronous bracket has ``k <= 2``: row ``m`` couples only to
       ``c_1``, ``c_2`` and a band on and right of the diagonal.  A dense
-      matrix gives ``k = N - 1``.  Each ``det M(p)`` is a Schur complement
-      on the triangular trailing block plus integer Bareiss on the
-      ``k x k`` border, so a banded block costs O(N) integer operations
-      per node, not O(N^3).
-    * **Nodes.**  The first ``2N + 1`` integers of ``0, 1, -1, 2, -2, ...``
-      at which no diagonal quadratic ``D p^2 + p A_ii + B_ii`` (``i >= k``)
-      vanishes, so no pivot of the back substitution is zero.  With
-      nothing skipped they are ``-N..N``.  The values are interpolated
-      exactly over one common denominator.
-    * **Certificate.**  The interpolant is checked against a Bareiss
-      determinant of the full matrix at ``max|node| + 1``, an evaluation
-      that takes no Schur complement, and must be monic of degree ``2N``.
-    * **Fallback.**  If the certificate fails, the polynomial is computed
-      again by plain Bareiss on the full matrix at ``-N..N`` and checked
-      the same way at ``N + 1``; only a second failure raises
-      :class:`ArithmeticError`.
+      matrix gives ``k = N - 1``.  The node value is a Schur complement on
+      the triangular trailing block plus integer Bareiss on the ``k x k``
+      border, so a banded block costs O(N) integer operations, not O(N^3).
+    * **Certificate.**  The digits must agree with a Bareiss determinant
+      of the full matrix at ``N + 1``, an evaluation that takes no Schur
+      complement, and be monic of degree ``2N``.
+    * **Fallback.**  If the certificate fails, plain Bareiss on the full
+      matrix takes the node value again, checked the same way; only a
+      second failure raises :class:`ArithmeticError`.
     """
     A = [[_as_fraction(x) for x in row] for row in A]
     B = [[_as_fraction(x) for x in row] for row in B]
@@ -435,30 +438,24 @@ def pencil_charpoly_exact(A, B) -> IntegerPolynomial:
     D = math.lcm(*(x.denominator for row in A + B for x in row))
     Ai = [[x.numerator * (D // x.denominator) for x in row] for row in A]
     Bi = [[x.numerator * (D // x.denominator) for x in row] for row in B]
+    b = _node_bits(Ai, Bi, D)
+    half, mask, scale = 1 << (b - 1), (1 << b) - 1, D**n
     full = _node_determinant(Ai, Bi, D, n)
 
-    def interpolate(det_at, candidates) -> IntegerPolynomial:
-        nodes = ((p, det_at(p)) for p in candidates)
-        usable = itertools.islice(((p, v) for p, v in nodes if v is not None), 2 * n + 1)
-        points, values = zip(*usable)
-        num, den = _lagrange_interpolate(points, values)
-        check = max(map(abs, points)) + 1
-        if _horner(num, check) != den * full(check):
-            raise ArithmeticError("interpolation cross-check failed")
-        scale = den * D**n
-        poly = IntegerPolynomial(tuple(Fraction(c, scale) for c in num))
-        if num[-1] != scale:
-            raise ArithmeticError(
-                f"characteristic polynomial must be monic of degree {2 * n}, "
-                f"got degree {poly.degree} with leading {poly.leading}"
-            )
-        return poly
+    def read_off(det_at) -> IntegerPolynomial:
+        value = det_at(1 << b)
+        digits = []
+        for _ in range(2 * n + 1):
+            digits.append(((value + half) & mask) - half)
+            value = (value - digits[-1]) >> b
+        if value or _horner(digits, n + 1) != full(n + 1) or digits[-1] != scale:
+            raise ArithmeticError("charpoly cross-check failed")
+        return IntegerPolynomial(tuple(Fraction(c, scale) for c in digits))
 
-    outward = ((-1) ** (i + 1) * ((i + 1) // 2) for i in itertools.count())  # 0, 1, -1, 2, ...
     try:
-        return interpolate(_node_determinant(Ai, Bi, D, _border_width(Ai, Bi)), outward)
+        return read_off(_node_determinant(Ai, Bi, D, _border_width(Ai, Bi)))
     except ArithmeticError:
-        return interpolate(full, range(-n, n + 1))
+        return read_off(full)
 
 
 def _root_bound(c: list[int]) -> int:
@@ -500,12 +497,7 @@ def integer_roots(q: IntegerPolynomial):
         for r in range(-bound, bound + 1):
             while _horner(c, r) == 0:  # a nonzero constant never vanishes
                 roots.append(r)
-                carry = 0
-                quotient = []
-                for a in reversed(c[1:]):
-                    carry = carry * r + a
-                    quotient.append(carry)
-                c = quotient[::-1]
+                c, _ = _deflate(c, r)
             if len(c) == 1:
                 break
     return roots, IntegerPolynomial(tuple(Fraction(a, den) for a in c))

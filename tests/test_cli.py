@@ -108,16 +108,21 @@ def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
     assert str(path) in err
 
 
+def test_c217_double_root_cell_is_contained(capsys):
+    assert run(["conjecture", "--which", "c217", "--nu", "4", "--mu", "3", "--n", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["contained"] is True
+
+
 def test_failed_certificate_is_a_runtime_failure(monkeypatch, capsys):
     """An exact charpoly that fails its certificate exits 1 with one line."""
 
     def uncertified(A, B):
-        raise ArithmeticError("interpolation cross-check failed")
+        raise ArithmeticError("charpoly cross-check failed")
 
     monkeypatch.setattr(spectrum, "pencil_charpoly_exact", uncertified)
     assert run(["spectrum", "--nu", "0", "--mu", "1", "--n", "3"]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err == "runtime failure: interpolation cross-check failed\n"
+    assert out == "" and err == "runtime failure: charpoly cross-check failed\n"
 
 
 def _choices(command, option):
@@ -426,3 +431,20 @@ def test_isochrony_command(tmp_path):
     report = json.loads(out.read_text())
     assert report["results"]["p"] == 1
     assert report["results"]["deviation"] <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "option", [["--samples-per-period", "0"], ["--samples-per-period", "1"], ["--p-max", "-1"]]
+)
+def test_isochrony_rejects_bad_sampling_before_integrating(monkeypatch, capsys, option):
+    """A sampling grid that cannot divide the period, or a negative p_max,
+    exits 2 with one error line and integrates nothing."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("simulate ran")
+
+    monkeypatch.setattr("goldfish.cli.simulate", never)
+    assert run(["isochrony", "--system", "altisogold", "--n", "2"] + option) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: " + option[0]) and len(err.splitlines()) == 1

@@ -1,9 +1,10 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -335,7 +336,7 @@ def _count_bareiss(mp, wrong=lambda size: False):
 def _bordered_pencils(draw):
     """Rational pencils upper triangular outside their first ``k`` rows and
     columns; some diagonal quadratics ``(p - r1)(p - r2)`` have small integer
-    roots, so some of the nodes ``0, 1, -1, ...`` must be skipped."""
+    roots, which the evaluation node must avoid."""
     n = draw(st.integers(1, 7))
     k = draw(st.integers(0, n))
     # zero only strictly below the diagonal of the trailing block
@@ -350,15 +351,44 @@ def _bordered_pencils(draw):
 
 @given(_bordered_pencils())
 def test_pencil_charpoly_bordered_equals_oracle(pencil):
-    """The Schur route is exact on every border width, skipped nodes
-    included: it agrees with the Fraction oracle, and the one full-size
-    determinant is the certificate (the fallback never runs)."""
+    """The Schur route is exact on every border width, diagonal quadratics
+    with integer roots included: it agrees with the Fraction oracle, and the
+    one full-size determinant is the certificate (the fallback never runs)."""
     A, B = pencil
     with pytest.MonkeyPatch.context() as mp:
         sizes = _count_bareiss(mp)
         poly = pencil_charpoly_exact(A, B)
     assert poly == oracles.charpoly(A, B)
     assert sizes.count(len(A)) == 1
+
+
+def _scaled(A, B):
+    """``(Ai, Bi, D)``: the pencil scaled to integers by the lcm ``D`` of its
+    denominators, as the kernel scales it."""
+    D = math.lcm(*(Fraction(x).denominator for row in A + B for x in row))
+    return [[int(x * D) for x in row] for row in A], [[int(x * D) for x in row] for row in B], D
+
+
+def _diagonal_quadratics(Ai, Bi, D, p):
+    return [D * p * p + p * Ai[i][i] + Bi[i][i] for i in range(len(Ai))]
+
+
+def _diagonal_pencil(a, b, n=5):
+    return tuple([[x * (i == j) for j in range(n)] for i in range(n)] for x in (a, b))
+
+
+@given(st.one_of(_rational_pencils(), _bordered_pencils()))
+@example(_diagonal_pencil(0, -36))  # |B| alone: roots +-6
+@example(_diagonal_pencil(-6, 0))  # |A| alone: roots 0 and 6
+def test_node_bits_bound_the_charpoly(pencil):
+    """At ``p = 2^b`` every coefficient of ``det M(p) = D^N charpoly`` is a
+    balanced base-``2^b`` digit, and no diagonal quadratic vanishes."""
+    A, B = pencil
+    Ai, Bi, D = _scaled(A, B)
+    bits = polynomials._node_bits(Ai, Bi, D)
+    scale = D ** len(A)
+    assert all(abs(c * scale) < 2 ** (bits - 1) for c in oracles.charpoly(A, B).coeffs)
+    assert all(_diagonal_quadratics(Ai, Bi, D, 2**bits))
 
 
 def _skew_nodes(mp, bad):
@@ -368,38 +398,55 @@ def _skew_nodes(mp, bad):
 
     def skewed(Ai, Bi, D, k):
         det_at = make(Ai, Bi, D, k)
-
-        def wrong(p):
-            value = det_at(p)
-            return value + 1 if value is not None and bad(k, p) else value
-
-        return wrong
+        return lambda p: det_at(p) + (1 if bad(k, p) else 0)
 
     mp.setattr(polynomials, "_node_determinant", skewed)
 
 
-def test_pencil_charpoly_falls_back_on_a_wrong_node():
-    """Wrong Schur node values fail the certificate (or the exact division),
-    and plain Bareiss at ``-N..N`` then gives the right polynomial; when
-    that fails too, the result is an ArithmeticError, never a wrong
-    polynomial."""
+def _grid_pencil():
     from goldfish.equilibria import cbar_closed_form
     from goldfish.spectrum import build_pencil
 
-    pen = build_pencil(cbar_closed_form(3, 4, 6))
+    return build_pencil(cbar_closed_form(3, 4, 6))
+
+
+def test_pencil_charpoly_falls_back_on_a_wrong_node():
+    """A wrong Schur node value fails the certificate (or the exact
+    division), and plain Bareiss at the same node then gives the right
+    polynomial; when that fails too, the result is an ArithmeticError,
+    never a wrong polynomial."""
+    pen = _grid_pencil()
     n, expect = pen.N, oracles.charpoly(pen.A, pen.B)
     with pytest.MonkeyPatch.context() as mp:
         _skew_nodes(mp, lambda k, p: k < n)
         sizes = _count_bareiss(mp)
         assert pencil_charpoly_exact(pen.A, pen.B) == expect
-    # the certificate at max|node| + 1, then 2N + 1 fallback nodes and N + 1
-    assert sizes.count(n) == 1 + (2 * n + 1) + 1
+    # the certificate at N + 1, then the fallback node and its own certificate
+    assert sizes.count(n) == 3
     with pytest.MonkeyPatch.context() as mp:
         # a border determinant off by one leaves a remainder in det(dk S) / dk^(k-1)
         sizes = _count_bareiss(mp, lambda size: size < n)
         assert pencil_charpoly_exact(pen.A, pen.B) == expect
-    assert sizes.count(n) == 2 * n + 2
+    assert sizes.count(n) == 2
     with pytest.MonkeyPatch.context() as mp:
-        _skew_nodes(mp, lambda k, p: k < n or p == 0)
+        # both routes wrong at the node, the certificate's determinant right
+        _skew_nodes(mp, lambda k, p: p != n + 1)
+        with pytest.raises(ArithmeticError, match="cross-check"):
+            pencil_charpoly_exact(pen.A, pen.B)
+
+
+def test_pencil_charpoly_fails_on_a_too_narrow_node(monkeypatch):
+    """A node too small for the coefficients carries digits into each
+    other: both routes then read off the same wrong digits and the result
+    is an ArithmeticError, never a wrong polynomial."""
+    pen = _grid_pencil()
+    Ai, Bi, D = _scaled(pen.A, pen.B)
+    scaled = [int(c * D**pen.N) for c in oracles.charpoly(pen.A, pen.B).coeffs]
+    # at this width the largest coefficient is no balanced digit
+    narrow = max(map(abs, scaled)).bit_length()
+    assert narrow < polynomials._node_bits(Ai, Bi, D)
+    for bits in range(narrow // 2, narrow + 1):
+        assert all(_diagonal_quadratics(Ai, Bi, D, 2**bits))
+        monkeypatch.setattr(polynomials, "_node_bits", lambda Ai, Bi, D: bits)
         with pytest.raises(ArithmeticError, match="cross-check"):
             pencil_charpoly_exact(pen.A, pen.B)

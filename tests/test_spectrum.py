@@ -127,8 +127,9 @@ def test_exact_kernels_equal_oracles_on_resonant_branch():
 def test_schur_route_certifies_every_grid_pencil(monkeypatch):
     """On every grid pencil (N <= 10, each c_1 shift of the oracle test, and
     the resonant nu = 8 branch) the Schur route passes its certificate: the
-    only full-size Bareiss determinant is the cross-check, so the fallback
-    never runs, and every node determinant is a small border one."""
+    one node takes a single border determinant of size k <= 2 (none when
+    the pencil is triangular, k = 0), and the only full-size Bareiss
+    determinant is the cross-check, so the fallback never runs."""
     sizes = []
     bareiss = polynomials._bareiss_det
 
@@ -148,11 +149,14 @@ def test_schur_route_certifies_every_grid_pencil(monkeypatch):
         for mu in range(8, n + 1)
         for c in (Fraction(1), Fraction(-3))
     ]
+    widths = set()
     for pen in pencils:
+        k = polynomials._border_width(pen.A, pen.B)
+        widths.add(k)
         sizes.clear()
         pencil_charpoly_exact(pen.A, pen.B)
-        assert sizes.count(pen.N) == 1, pen
-        assert len(sizes) == 2 * pen.N + 2 and max(sizes[:-1]) <= 2, pen
+        assert k <= 2 and sizes == [k] * (k > 0) + [pen.N], pen
+    assert widths == {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +293,20 @@ def test_c217_rational_cells():
         for n in (5, 6):
             res = verify_conjectures("c217", 0, mu, n, tol=1e-6)
             assert res.contained, (mu, n)
+
+
+def test_c217_double_roots_are_contained_exactly(monkeypatch):
+    """At (nu, mu, N) = (4, 3, 10) the claimed 2, 3 and 4 are double roots
+    of the exact charpoly, which eig resolves only to about 1e-6; the exact
+    deflation contains them.  A value claimed once too often, or one that is
+    no root, is not contained."""
+    assert verify_conjectures("c217", 4, 3, 10).contained
+    claim = conjecture_217_claim(4, 3, 10)
+    for extra in (Fraction(2), Fraction(7)):
+        monkeypatch.setattr(
+            "goldfish.spectrum.conjecture_217_claim", lambda nu, mu, N: claim + (extra,)
+        )
+        assert not verify_conjectures("c217", 4, 3, 10).contained, extra
 
 
 def test_c217_claim_lists():
