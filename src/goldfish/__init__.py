@@ -41,6 +41,8 @@ from .linalg import (
     track_trajectories,
 )
 from .polynomials import (
+    CertificateError,
+    GoldfishError,
     IntegerPolynomial,
     MonicPolynomial,
     PLAIN,

@@ -31,6 +31,7 @@ from .linalg import TrackedPaths, Trajectory, _lapack, _walk, eigenvalues, integ
 from .polynomials import (
     PLAIN,
     TILDE,
+    GoldfishError,
     MonicPolynomial,
     _horner,
     coeff_velocities,
@@ -62,7 +63,7 @@ __all__ = [
 COLLISION_THRESHOLD = 1e-10
 
 
-class CollisionError(RuntimeError):
+class CollisionError(GoldfishError):
     """Two coordinates came closer than the collision threshold."""
 
 
@@ -216,6 +217,35 @@ def _check_distinct(z: np.ndarray):
         raise CollisionError(
             f"coordinates closer than {COLLISION_THRESHOLD:g} (min gap {dmin:.3e})"
         )
+
+
+# residual target of the spectral route's initial zeros
+_ROOT_TOL = 1e-13
+
+
+def _simple_zero_slopes(psi: MonicPolynomial, z: np.ndarray) -> np.ndarray:
+    """``psi'(z)`` at the zeros ``z`` that :func:`find_roots` returned for
+    ``_ROOT_TOL``, after checking that the zeros are told apart from a
+    repeated zero.
+
+    ``find_roots`` accepts residuals up to ``e = 10 tol (1 + max|c_m|)``.
+    The ``m`` zeros that a residual ``<= e`` splits off one zero of
+    multiplicity ``m`` have ``|psi'(z_k)|`` times the gap to their nearest
+    neighbour at most ``2 m sin(pi / m) e < 2 pi e``, so a product that
+    small raises :class:`CollisionError`.
+    """
+    c = psi.plain_coeffs()
+    slopes = np.polyval(np.polyder(c), z)
+    gap = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(gap, np.inf)
+    worst = float(np.min(np.abs(slopes) * np.min(gap, axis=1)))
+    bound = 20 * np.pi * _ROOT_TOL * (1.0 + float(np.max(np.abs(c))))
+    if worst <= bound:
+        raise CollisionError(
+            f"zeros indistinguishable from a repeated zero "
+            f"(|psi'| times gap {worst:.3e} <= {bound:.3e})"
+        )
+    return slopes
 
 
 def _particle_acceleration(spec: ModelSpec):
@@ -617,14 +647,13 @@ def simulate(
     if spec.system in _COEFFICIENT:
         conv = TILDE if spec.system is System.ALTISOGOLD else PLAIN
         poly = MonicPolynomial(np.concatenate([[1.0 + 0j], state0.c]), conv)
-        z0 = find_roots(poly, tol=1e-13)
+        z0 = find_roots(poly, tol=_ROOT_TOL)
         _check_distinct(z0)
         # velocity of each zero from the coefficient velocities:
         # zdot_k = -psi_t(z_k) / psi'(z_k)
         plaind = conv.unstrip(np.concatenate([[0.0 + 0j], state0.cdot]))[1:]
         num = np.polyval(plaind, z0)
-        den = np.polyval(np.polyder(np.atleast_1d(poly.plain_coeffs())), z0)
-        particle0 = ParticleState(z0, -num / den)
+        particle0 = ParticleState(z0, -num / _simple_zero_slopes(poly, z0))
         particle_system = System.GOLD if spec.system is System.ALTGOLD else System.ISOGOLD
         pspec = ModelSpec(particle_system, spec.N, a2=spec.a2)
     else:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .polynomials import GoldfishError
+
 __all__ = [
     "AmbiguousTrackingError",
     "EigenvalueError",
@@ -29,11 +31,11 @@ __all__ = [
     "track_trajectories",
 ]
 
-class EigenvalueError(RuntimeError):
+class EigenvalueError(GoldfishError):
     """QR iteration failed to converge; never silently wrong."""
 
 
-class MovableSingularityError(RuntimeError):
+class MovableSingularityError(GoldfishError):
     """Integration ran into a step-size underflow near a movable pole."""
 
     def __init__(self, last_time: float):
@@ -44,7 +46,7 @@ class MovableSingularityError(RuntimeError):
         )
 
 
-class AmbiguousTrackingError(RuntimeError):
+class AmbiguousTrackingError(GoldfishError):
     """Frame-to-frame eigenvalue displacement too large for unambiguous
     matching; the caller must refine the sampling."""
 

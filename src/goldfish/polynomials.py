@@ -28,7 +28,9 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
+    "CertificateError",
     "CoefficientConvention",
+    "GoldfishError",
     "IntegerPolynomial",
     "MonicPolynomial",
     "RootFindingError",
@@ -40,8 +42,16 @@ __all__ = [
 ]
 
 
-class RootFindingError(RuntimeError):
+class GoldfishError(RuntimeError):
+    """A named runtime failure; the command line exits 1 on every subclass."""
+
+
+class RootFindingError(GoldfishError):
     """Simultaneous root iteration failed to reach the residual target."""
+
+
+class CertificateError(GoldfishError, ArithmeticError):
+    """An exact determinant failed its integer cross-check."""
 
 
 class CoefficientConvention(enum.Enum):
@@ -202,10 +212,6 @@ class IntegerPolynomial:
     @property
     def is_zero(self) -> bool:
         return self.coeffs == (Fraction(0),)
-
-    @property
-    def leading(self) -> Fraction:
-        return self.coeffs[-1]
 
     def __call__(self, x) -> Fraction:
         return _horner(self.coeffs, Fraction(x))
@@ -381,7 +387,7 @@ def _node_determinant(Ai, Bi, D: int, k: int):
             S.append(row)
         det, rem = divmod(_bareiss_det(S), dk ** (k - 1))
         if rem:
-            raise ArithmeticError("Schur complement determinant is not exact")
+            raise CertificateError("Schur complement determinant is not exact")
         return det
 
     return det_at
@@ -428,7 +434,7 @@ def pencil_charpoly_exact(A, B) -> IntegerPolynomial:
       complement, and be monic of degree ``2N``.
     * **Fallback.**  If the certificate fails, plain Bareiss on the full
       matrix takes the node value again, checked the same way; only a
-      second failure raises :class:`ArithmeticError`.
+      second failure raises :class:`CertificateError`.
     """
     A = [[_as_fraction(x) for x in row] for row in A]
     B = [[_as_fraction(x) for x in row] for row in B]
@@ -449,7 +455,7 @@ def pencil_charpoly_exact(A, B) -> IntegerPolynomial:
             digits.append(((value + half) & mask) - half)
             value = (value - digits[-1]) >> b
         if value or _horner(digits, n + 1) != full(n + 1) or digits[-1] != scale:
-            raise ArithmeticError("charpoly cross-check failed")
+            raise CertificateError("charpoly cross-check failed")
         return IntegerPolynomial(tuple(Fraction(c, scale) for c in digits))
 
     try:
@@ -477,13 +483,41 @@ def _root_bound(c: list[int]) -> int:
     return int(math.floor(min(cauchy, 2.0 * fuji))) + 1
 
 
+# root windows at most this wide are scanned integer by integer
+_SCAN = 1024
+
+
+def _root_candidates(c: list[int], bound: int):
+    """The integers of ``[-bound, bound]``, ascending, less windows that
+    hold no root of ``sum_k c[k] p^k``.
+
+    A window wider than ``_SCAN``, with midpoint ``m`` and half-width
+    ``h``, goes when the Taylor coefficients ``t_k = c^(k)(m) / k!`` give
+    ``|t_0| > sum_(k >= 1) |t_k| h^k``, and is halved otherwise; so the
+    work grows with the number of roots and ``log(bound)``, not with
+    ``bound``.
+    """
+    stack = [(-bound, bound)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo < _SCAN:
+            yield from range(lo, hi + 1)
+            continue
+        m, t, rest = (lo + hi) // 2, [], c
+        while rest:
+            rest, value = _deflate(rest, m)
+            t.append(abs(value))
+        if 2 * t[0] <= _horner(t, hi - m):
+            stack += [(m + 1, hi), (lo, m)]
+
+
 def integer_roots(q: IntegerPolynomial):
     """All integer roots (with multiplicity) and the deflated remainder.
 
     ``q`` is scaled once to integer coefficients.  One ascending pass over
-    the root-bound window tests every integer by Horner evaluation; a
-    found root is deflated exactly (synthetic division) and re-tested, so
-    multiplicities are counted.  Deflation adds no roots, so the first
+    the root-bound window tests every integer that :func:`_root_candidates`
+    keeps by Horner evaluation; a found root is deflated exactly (synthetic
+    division) and re-tested, so multiplicities are counted.  Deflation adds no roots, so the first
     bound holds for every quotient and every integer below the current one
     has already failed.  The remainder has no integer roots.
     """
@@ -493,8 +527,7 @@ def integer_roots(q: IntegerPolynomial):
     c = [a.numerator * (den // a.denominator) for a in q.coeffs]
     roots = []
     if len(c) > 1:
-        bound = _root_bound(c)
-        for r in range(-bound, bound + 1):
+        for r in _root_candidates(c, _root_bound(c)):
             while _horner(c, r) == 0:  # a nonzero constant never vanishes
                 roots.append(r)
                 c, _ = _deflate(c, r)

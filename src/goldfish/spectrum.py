@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dynamics import _iso_bracket
-from .equilibria import EquilibriumConfig, cbar_closed_form
+from .equilibria import ISO_NU_VALUES, EquilibriumConfig, cbar_closed_form
 from .linalg import eigenvalues, multiset_distance
 from .polynomials import IntegerPolynomial, _deflate, integer_roots, pencil_charpoly_exact
 
@@ -262,7 +262,12 @@ def verify_integrality(
 def conjecture_215_product(nu: int, mu: int, N: int) -> IntegerPolynomial:
     """The conjectured exact factorisation of the pencil's characteristic
     polynomial for integer ``mu``, expanded exactly (empty products are
-    one)."""
+    one).  The product has ``2N`` roots, and is stated, only on the cells
+    ``nu <= mu <= N``; others raise ``ValueError``."""
+    if nu not in ISO_NU_VALUES:
+        raise ValueError(f"no conjectured product for nu = {nu}")
+    if not nu <= mu <= N:
+        raise ValueError(f"c215 is stated only for nu <= mu <= N (nu = {nu}, N = {N})")
     if nu == 0:
         roots = [r for n in range(1, N - mu + 1) for r in (n, n + 1)]
         roots += [r for n in range(1, mu + 1) for r in (-n, 5 - n)]
@@ -279,11 +284,9 @@ def conjecture_215_product(nu: int, mu: int, N: int) -> IntegerPolynomial:
         roots += [r for n in range(1, N - mu + 1) for r in (n, n - 1)]
         roots += [-n for n in range(1, mu - 3)]
         roots += [-n - 1 for n in range(1, mu + 1)]
-    elif nu == 5:
+    else:
         roots = [r for n in range(1, N - mu + 1) for r in (n, n + 1)]
         roots += [r for n in range(1, mu + 1) for r in (-n, n - mu + 4)]
-    else:
-        raise ValueError(f"no conjectured product for nu = {nu}")
     return IntegerPolynomial.from_integer_roots(roots)
 
 

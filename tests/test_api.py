@@ -11,6 +11,9 @@ from pathlib import Path
 import pytest
 
 import goldfish
+from goldfish.equilibria import ResonantBranchError
+from goldfish.linalg import EigenvalueError
+from goldfish.polynomials import RootFindingError
 
 MODULES = ("dynamics", "equilibria", "linalg", "polynomials", "reports", "spectrum")
 
@@ -32,3 +35,21 @@ def test_package_reexports_resolve():
         for alias in node.names:
             assert not alias.name.startswith("_"), (node.module, alias.name)
             assert getattr(goldfish, alias.name) is getattr(module, alias.name)
+
+
+def test_runtime_failures_share_one_base():
+    """Every named runtime failure is a GoldfishError and stays a
+    RuntimeError; the certificate failure is also an ArithmeticError, and
+    the resonant-branch refusal stays a ValueError."""
+    runtime = (
+        goldfish.CollisionError,
+        goldfish.AmbiguousTrackingError,
+        goldfish.MovableSingularityError,
+        EigenvalueError,
+        RootFindingError,
+    )
+    for cls in runtime + (goldfish.CertificateError,):
+        assert issubclass(cls, goldfish.GoldfishError) and issubclass(cls, RuntimeError)
+    assert issubclass(goldfish.CertificateError, ArithmeticError)
+    assert issubclass(ResonantBranchError, ValueError)
+    assert not issubclass(ResonantBranchError, goldfish.GoldfishError)

@@ -1,15 +1,21 @@
 import argparse
+import contextlib
+import io
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldfish import spectrum
 from goldfish.cli import build_parser, main
 from goldfish.dynamics import ModelSpec, ParticleState, System, simulate
 from goldfish.equilibria import cbar_closed_form
 from goldfish.linalg import multiset_distance
+from goldfish.polynomials import GoldfishError
 from goldfish.reports import write_trajectory_csv, write_trajectory_svg
 from goldfish.spectrum import verify_integrality
 
@@ -448,3 +454,116 @@ def test_isochrony_rejects_bad_sampling_before_integrating(monkeypatch, capsys, 
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: " + option[0]) and len(err.splitlines()) == 1
+
+
+def test_fresh_goldfish_error_subclass_is_a_runtime_failure(monkeypatch, capsys):
+    """Any GoldfishError subclass exits 1 with one line, with no list of
+    classes in the command line to extend."""
+
+    class FreshError(GoldfishError):
+        pass
+
+    def failing(*args, **kwargs):
+        raise FreshError("fresh failure")
+
+    monkeypatch.setattr(spectrum, "verify_integrality", failing)
+    assert run(["spectrum", "--nu", "0", "--mu", "1", "--n", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "runtime failure: fresh failure\n"
+
+
+@pytest.mark.parametrize("nu, mu", [(0, 7), (0, -1), (1, 0), (4, 3)])
+def test_c215_outside_its_cells_is_a_usage_error(capsys, nu, mu):
+    """The c215 product has 2N roots, and is stated, only for
+    nu <= mu <= N; other cells exit 2 before the product is expanded, not 1
+    with a counterexample of the wrong degree."""
+    argv = ["conjecture", "--which", "c215", "--nu", str(nu), "--mu", str(mu), "--n", "5"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: c215 is stated only for nu <= mu <= N (nu = {nu}, N = 5)\n"
+
+
+def test_numpy_warnings_stay_off_stderr(capsys):
+    """A failure that numpy meets on the way (overflow at 1e200) leaves the
+    one error line, and no floating-point warning, on stderr."""
+    argv = ["simulate", "--system", "gold", "--n", "2", "--z0=1,0", "--z0=1e200,0",
+            "--samples", "3"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "error: rhs is not finite on the initial state\n"
+
+
+def test_sweep_rejects_n_min_below_one(monkeypatch, capsys):
+    """A grid that starts below N = 1 is a usage error before any cell runs."""
+
+    def never(payload):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr("goldfish.cli._sweep_cell", never)
+    argv = ["sweep", "--which", "integrality", "--n-min", "0", "--n-max", "1", "--threads", "1"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --n-min must be at least 1\n"
+
+
+# Tokens for the string options: unreadable, out-of-range and huge values.
+# Options that argparse types as int draw integers only, because argparse
+# rejects other text itself, with its usage lines, before main runs.
+_GARBAGE = st.one_of(
+    st.sampled_from([
+        "", ",", "3,", "abc", "1/0", "nan", "inf", "-0", "1/2", "-7/3", "2", "7", "8",
+        "1e20", "-1e20", "1e-400", "1e400", "1,2,3", "0,1,3:1/2", "0,0,1:1e30", "2,8", "٣",
+    ]),
+    st.integers(-1, 7).map(str),
+    st.text(max_size=5),
+)
+_INTS = st.one_of(st.sampled_from([0, 1, 3, 4, 5]), st.integers(-2, 9), st.just(10**30))
+_SIZES = st.integers(-1, 6)
+
+
+def _flag(name, values):
+    return values.map(lambda v: [f"--{name}={v}"])
+
+
+def _maybe(name, values):
+    return st.one_of(st.just([]), _flag(name, values))
+
+
+_ARGVS = st.one_of(
+    st.tuples(
+        st.just(["spectrum"]), _flag("nu", _INTS), _flag("mu", _GARBAGE), _flag("n", _SIZES),
+        _maybe("free", _GARBAGE), _maybe("perturb-c1", _GARBAGE),
+    ),
+    st.tuples(
+        st.just(["conjecture"]), _flag("which", st.sampled_from(["c215", "c217"])),
+        _flag("nu", _INTS), _flag("mu", _GARBAGE), _flag("n", _SIZES), _maybe("free", _GARBAGE),
+    ),
+    st.tuples(
+        st.just(["equilibria"]), st.sampled_from([["--iso"], ["--altgold"]]),
+        _flag("n", _SIZES), _maybe("nu", _INTS), _maybe("mu", _INTS),
+        _maybe("free-samples", _GARBAGE),
+    ),
+    st.tuples(
+        st.just(["sweep", "--threads", "1"]),
+        _flag("which", st.sampled_from(["integrality", "c215", "c217"])),
+        _maybe("nu-list", _GARBAGE), _maybe("mu-list", _GARBAGE),
+        _flag("n-min", _SIZES), _flag("n-max", _SIZES), _maybe("free", _GARBAGE),
+        _maybe("perturb", _GARBAGE),
+    ),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(max_examples=200)
+@given(_ARGVS)
+def test_every_argv_exits_0_1_or_2_on_at_most_one_line(argv):
+    """The fast commands, fed garbage, end in an exit code and at most one
+    stderr line, never in a traceback or an escaped exception."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1
+    assert "Traceback" not in err.getvalue()

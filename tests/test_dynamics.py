@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from goldfish.dynamics import (
     trick_transform_state,
 )
 from goldfish.linalg import AmbiguousTrackingError, Trajectory, eigenvalues
-from goldfish.polynomials import PLAIN, TILDE, coeff_velocities
+from goldfish.polynomials import PLAIN, TILDE, MonicPolynomial, coeff_velocities
 
 
 def multiset_dev(a, b):
@@ -86,6 +87,41 @@ def test_simulate_collision_at_accepted_step():
     state = ParticleState([0.0, 1.0 + 5e-11], [1.0, 0.0])
     with pytest.raises(CollisionError):
         simulate(spec, state, np.linspace(0.0, 1.0, 5))
+
+
+@pytest.mark.parametrize("c0, cdot0", [((0, 0), (0.1, 0.2)), ((0, 0, 0), (0.1, 0.2, 0.3))])
+def test_spectral_refuses_a_repeated_initial_zero(monkeypatch, c0, cdot0):
+    """A double or triple zero that find_roots splits into a close cluster is
+    a collision, refused before the matrix flow is integrated (the split
+    zeros would move at speeds near 3e5)."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("integrated a flow from a repeated zero")
+
+    monkeypatch.setattr(dynamics, "integrate_ode", never)
+    spec = ModelSpec(System.ALTGOLD, len(c0))
+    state = CoefficientState(np.array(c0, dtype=complex), np.array(cdot0, dtype=complex))
+    start = time.perf_counter()
+    with pytest.raises(CollisionError, match="repeated zero"):
+        simulate(spec, state, np.linspace(0.0, 0.5, 3), method="spectral")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_spectral_separated_zeros_reach_the_tracker():
+    """Zeros at +-0.05 are told apart: the run gets past the repeated-zero
+    check and fails later, in the eigenvalue tracking."""
+    spec = ModelSpec(System.ALTGOLD, 2)
+    state = CoefficientState(np.array([0, -0.0025], dtype=complex), np.array([0.1, 0.2]))
+    with pytest.raises(AmbiguousTrackingError):
+        simulate(spec, state, np.linspace(0.0, 0.5, 3), method="spectral")
+
+
+def test_close_simple_zeros_pass_the_repeated_zero_check():
+    """Zeros at +-1e-5 are 2e-5 apart, far more than a residual of about
+    1e-12 can blur, so the check returns psi' there instead of raising."""
+    psi = MonicPolynomial(np.array([1, 0, -1e-10], dtype=complex))
+    z = np.array([1e-5, -1e-5], dtype=complex)
+    assert np.allclose(dynamics._simple_zero_slopes(psi, z), [2e-5, -2e-5], rtol=1e-12)
 
 
 def test_rhs_shape_mismatch():

@@ -283,6 +283,42 @@ def test_integer_roots_at_window_ends():
 
 
 @given(
+    st.lists(st.one_of(st.integers(-12, 12), st.integers(-10**6, 10**6)), max_size=6),
+    st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=8), min_size=1, max_size=4
+    ),
+)
+def test_integer_roots_in_wide_windows(roots, cofactor):
+    """Far roots widen the window past what is scanned integer by integer;
+    the excluded sub-windows must hold none of them.  The roots are the
+    given ones plus the cofactor's own, and the remainder is the
+    cofactor's."""
+    cofactor = IntegerPolynomial(tuple(cofactor))
+    if cofactor.is_zero:
+        return
+    p = oracles.poly_mul(IntegerPolynomial.from_integer_roots(roots), cofactor)
+    own, rest = oracles.integer_roots(cofactor)
+    assert integer_roots(p) == (sorted(roots + own), rest)
+
+
+def test_integer_roots_work_grows_with_log_of_the_window(monkeypatch):
+    """Roots near +-1e20 take a few thousand evaluations, not one per
+    integer of the window."""
+    calls = Counter()
+
+    def counted(coeffs, x):
+        calls["horner"] += 1
+        assert calls["horner"] < 10**5, "scanning the window integer by integer"
+        return _horner(coeffs, x)
+
+    monkeypatch.setattr(polynomials, "_horner", counted)
+    roots = [-(10**20), -(10**20) + 3, -(10**20) + 3, 7, 10**20 - 1]
+    quadratic = IntegerPolynomial((Fraction(2), Fraction(0), Fraction(1)))  # p^2 + 2
+    p = oracles.poly_mul(IntegerPolynomial.from_integer_roots(roots), quadratic)
+    assert integer_roots(p) == (roots, quadratic)
+
+
+@given(
     st.lists(st.integers(-12, 12), max_size=6),
     st.lists(
         st.fractions(min_value=-9, max_value=9, max_denominator=8), min_size=1, max_size=4
