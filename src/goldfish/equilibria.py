@@ -141,22 +141,28 @@ class ResonantBranchError(ValueError):
     """
 
 
-def _phi_factor(nu: int, m: int) -> Fraction:
+def _phi_factor(nu: int, m: int) -> tuple[int, int]:
     """Right-side factor ``(m - nu - 1)(m + 3 nu/(2 - nu))`` of the core
-    recurrence ``m (m - 5) phi_m = factor * phi_(m-1)``."""
-    return Fraction(m - nu - 1) * (Fraction(m) + Fraction(3 * nu, 2 - nu))
+    recurrence ``m (m - 5) phi_m = factor * phi_(m-1)``, as an integer
+    numerator and denominator."""
+    return (m - nu - 1) * (m * (2 - nu) + 3 * nu), 2 - nu
 
 
-def _phi_coefficients(nu: int, c, top: int) -> list[Fraction]:
-    """``phi_0..phi_top`` by the core recurrence; the free ``phi_5`` is
-    ``-(1 + c)`` at ``nu = 5`` and ``c`` above it."""
-    phi = [Fraction(1)]
+def _phi_coefficients(nu: int, c, top: int) -> tuple[list[int], int]:
+    """``phi_0..phi_top`` by the core recurrence, as integer numerators
+    over one denominator ``E``; the free ``phi_5`` is ``-(1 + c)`` at
+    ``nu = 5`` and ``c`` above it."""
+    phi, E = [1], 1
     for m in range(1, top + 1):
         if m == 5:
-            phi.append(-(1 + Fraction(c)) if nu == 5 else Fraction(c))
+            free = -(1 + Fraction(c)) if nu == 5 else Fraction(c)
+            last, scale = free.numerator * E, free.denominator
         else:
-            phi.append(_phi_factor(nu, m) * phi[m - 1] / (m * (m - 5)))
-    return phi
+            num, den = _phi_factor(nu, m)
+            last, scale = num * phi[-1], m * (m - 5) * den
+        phi = [x * scale for x in phi] + [last]
+        E *= scale
+    return phi, E
 
 
 def solve_phi_recursion(nu: int, c: Fraction = Fraction(0)) -> RecursionSolution:
@@ -173,6 +179,12 @@ def solve_phi_recursion(nu: int, c: Fraction = Fraction(0)) -> RecursionSolution
     exact and verified by the test suite, but they sit outside the five
     standard families.
     """
+    phi, E = _core_polynomial(nu, c)
+    return RecursionSolution(nu, tuple(Fraction(x, E) for x in phi))
+
+
+def _core_polynomial(nu: int, c) -> tuple[list[int], int]:
+    """:func:`_phi_coefficients` of a degree that has a core polynomial."""
     if nu == 2:
         raise ValueError("nu = 2 is excluded: the normalisation constraint fails")
     if nu not in ISO_NU_VALUES and nu != RESONANT_NU:
@@ -181,7 +193,7 @@ def solve_phi_recursion(nu: int, c: Fraction = Fraction(0)) -> RecursionSolution
             f"no degree-{nu} core polynomial: at m = {m} the recurrence "
             f"demands {lhs} * phi_{m} = {rhs} with zero left coefficient"
         )
-    return RecursionSolution(nu, tuple(_phi_coefficients(nu, c, nu)))
+    return _phi_coefficients(nu, c, nu)
 
 
 def phi_recursion_obstruction(nu: int):
@@ -195,7 +207,8 @@ def phi_recursion_obstruction(nu: int):
     if nu < 6 or nu == 2:
         raise ValueError("an obstruction exists only for nu >= 6")
     m = 5
-    rhs = _phi_factor(nu, m) * _phi_coefficients(nu, 0, m - 1)[-1]
+    phi, E = _phi_coefficients(nu, 0, m - 1)
+    rhs = Fraction(*_phi_factor(nu, m)) * phi[-1] / E
     if rhs == 0:
         raise ResonantBranchError(
             f"degree {nu} carries no obstruction: the recurrence right side "
@@ -215,16 +228,22 @@ def _iso_series(nu: int, mu, N: int, c) -> tuple[Fraction, ...]:
 
     The binomial series is exact for any rational ``mu``; for integer
     ``mu >= nu`` it ends on its own after ``x^(mu - nu)``, which gives the
-    ``z^(N - mu)`` padding.
+    ``z^(N - mu)`` padding.  The sum runs on integer numerators over the
+    one denominator ``E q^N N!`` (``mu - nu = p/q``, ``phi`` over ``E``),
+    reduced by its gcd with them; only the results become ``Fraction``s.
     """
-    phi = solve_phi_recursion(nu, c).coefficients
+    phi, E = _core_polynomial(nu, c)
     r = Fraction(mu) - nu
-    binom = [Fraction(1)]  # binom[j]: coefficient of x^j in (1 - x)^r
+    if N < 1:
+        return ()
+    p, q = r.numerator, r.denominator
+    binom = [q**N * math.factorial(N)]  # q^N N! times each coefficient of (1 - x)^r
     for j in range(1, N + 1):
-        binom.append(binom[-1] * (j - 1 - r) / j)
-    return tuple(
-        sum(phi[k] * binom[m - k] for k in range(min(m, nu) + 1)) for m in range(1, N + 1)
-    )
+        binom.append(binom[-1] * ((j - 1) * q - p) // (q * j))
+    x = [sum(map(operator.mul, phi, binom[m::-1])) for m in range(1, N + 1)]
+    d = E * binom[0]
+    g = math.gcd(d, *x)
+    return tuple(Fraction(v // g, d // g) for v in x)
 
 
 def cbar_closed_form(nu: int, mu, N: int, c: Fraction = Fraction(0)):

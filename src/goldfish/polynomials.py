@@ -470,17 +470,18 @@ def _root_bound(c: list[int]) -> int:
     Uses the smaller of the Cauchy bound ``1 + max|c_k/c_n|`` and the
     Fujiwara bound ``2 max_k |c_(n-k)/c_n|^(1/k)``; the Cauchy bound alone
     grows with the coefficient size and becomes impractically wide for the
-    high-degree spectra handled here.
+    high-degree spectra handled here.  Cauchy is taken on integers and
+    Fujiwara through logarithms, rounded up by far more than their float
+    error and taken as a power of two past the float range, so neither
+    overflows and both stay rigorous.
     """
     n = len(c) - 1
     lead = abs(c[-1])
-    cauchy = (lead + max(abs(a) for a in c[:-1])) / lead
-    fuji = 0.0
-    for k in range(1, n + 1):
-        a = abs(c[n - k])
-        if a:
-            fuji = max(fuji, (a / lead) ** (1.0 / k))
-    return int(math.floor(min(cauchy, 2.0 * fuji))) + 1
+    cauchy = (lead + max(abs(a) for a in c[:-1])) // lead
+    logs = ((math.log(abs(c[n - k])) - math.log(lead)) / k for k in range(1, n + 1) if c[n - k])
+    top = max(logs, default=-math.inf) + 1e-12 * (1 + max(a.bit_length() for a in c))
+    fuji = math.floor(2 * math.exp(top)) if top < 700 else 1 << (math.ceil(top / math.log(2)) + 2)
+    return min(cauchy, fuji) + 1
 
 
 # root windows at most this wide are scanned integer by integer
@@ -515,11 +516,14 @@ def integer_roots(q: IntegerPolynomial):
     """All integer roots (with multiplicity) and the deflated remainder.
 
     ``q`` is scaled once to integer coefficients.  One ascending pass over
-    the root-bound window tests every integer that :func:`_root_candidates`
-    keeps by Horner evaluation; a found root is deflated exactly (synthetic
-    division) and re-tested, so multiplicities are counted.  Deflation adds no roots, so the first
-    bound holds for every quotient and every integer below the current one
-    has already failed.  The remainder has no integer roots.
+    the root-bound window tests by Horner evaluation every integer that
+    :func:`_root_candidates` keeps, less the nonzero ones that do not
+    divide the current quotient's lowest nonzero coefficient (the rational
+    root theorem, once ``p^j`` is factored out); a found root is deflated
+    exactly (synthetic division) and re-tested, so multiplicities are
+    counted.  Deflation adds no roots, so the first bound holds for every
+    quotient and every integer below the current one has already failed.
+    The remainder has no integer roots.
     """
     if q.is_zero:
         raise ValueError("the zero polynomial has no well-defined root set")
@@ -527,10 +531,15 @@ def integer_roots(q: IntegerPolynomial):
     c = [a.numerator * (den // a.denominator) for a in q.coeffs]
     roots = []
     if len(c) > 1:
+        low = next(filter(None, c))
         for r in _root_candidates(c, _root_bound(c)):
-            while _horner(c, r) == 0:  # a nonzero constant never vanishes
+            # a nonzero root divides low, and a nonzero constant never vanishes
+            while not (r and low % r) and _horner(c, r) == 0:
                 roots.append(r)
                 c, _ = _deflate(c, r)
+                low = next(filter(None, c))
             if len(c) == 1:
                 break
+    if not roots:
+        return roots, q
     return roots, IntegerPolynomial(tuple(Fraction(a, den) for a in c))

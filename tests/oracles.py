@@ -56,7 +56,7 @@ from goldfish.linalg import (
     _match_step,
     eigenvalues,
 )
-from goldfish.equilibria import Family, RecursionSolution
+from goldfish.equilibria import Family, RecursionSolution, solve_phi_recursion
 from goldfish.polynomials import IntegerPolynomial
 from goldfish.spectrum import QuadraticPencil
 
@@ -358,6 +358,19 @@ def iso_closed_form(nu: int, mu, N: int, c=Fraction(0)):
             raise ValueError(f"no closed form for nu = {nu}")
         out.append((-1) ** m * val)
     return tuple(out)
+
+
+def iso_series(nu: int, mu, N: int, c=Fraction(0)):
+    """``c_1..c_N`` of ``phi_{nu,c}(x) (1 - x)^(mu - nu)`` with one
+    ``Fraction`` per binomial term and per product, summed term by term."""
+    phi = solve_phi_recursion(nu, c).coefficients
+    r = Fraction(mu) - nu
+    binom = [Fraction(1)]  # binom[j]: coefficient of x^j in (1 - x)^r
+    for j in range(1, N + 1):
+        binom.append(binom[-1] * (j - 1 - r) / j)
+    return tuple(
+        sum(phi[k] * binom[m - k] for k in range(min(m, nu) + 1)) for m in range(1, N + 1)
+    )
 
 
 def bareiss_det(rows) -> Fraction:

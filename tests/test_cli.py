@@ -153,6 +153,24 @@ def test_spectrum_rejects_empty_cell(capsys, perturb):
     assert capsys.readouterr().err == "error: need at least one coefficient\n"
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_spectrum_without_coefficients_is_a_usage_error(capsys, n):
+    assert cbar_closed_form(0, 1, int(n)) == ()
+    assert run(["spectrum", "--nu", "0", "--mu", "1", "--n", n]) == 2
+    assert capsys.readouterr().err == "error: need at least one coefficient\n"
+
+
+def test_spectrum_past_the_float_range_gives_a_verdict(capsys):
+    """At mu = 1e40 the charpoly's coefficient quotients pass 1.8e308; the
+    root window is still found, and the command reports its verdict."""
+    assert run(["spectrum", "--nu", "0", "--mu", "1e40", "--n", "6"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    sample = json.loads(out)["results"]["samples"][0]
+    assert sample["integer_roots"] == [5 - 10**40, 6 - 10**40, 2, 3, 4]
+    assert sample["all_integers"] is False
+
+
 def test_simulate_csv_contract(tmp_path, capsys):
     code = run(
         [

@@ -2,8 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
+from goldfish import equilibria
 from goldfish.equilibria import (
     DEFAULT_FREE_SAMPLES,
     EquilibriumConfig,
@@ -165,6 +168,48 @@ def test_closed_form_agreement_up_to_twelve():
                 for mu in rational_mus + (N + Fraction(1, 2),):
                     want = oracles.iso_closed_form(nu, mu, N, c)
                     assert cbar_closed_form(nu, mu, N, c) == want, (nu, mu, N, c)
+
+
+@st.composite
+def _series_cells(draw):
+    """``(nu, mu, N, c)`` with ``mu`` negative, non-integer or above ``N``
+    as often as inside ``nu..N``, and a rational free constant."""
+    nu = draw(st.sampled_from((0, 1, 3, 4, 5, 8)))
+    N = draw(st.integers(1, 24))
+    mu = draw(
+        st.one_of(
+            st.integers(-30, -1),
+            st.fractions(-30, 30, max_denominator=9),
+            st.integers(N + 1, N + 30),
+            st.integers(min(nu, N), N),
+        )
+    )
+    c = draw(st.fractions(-20, 20, max_denominator=12))
+    return nu, mu, N, c
+
+
+@given(_series_cells())
+def test_iso_series_equals_fraction_oracle(cell):
+    """The series over one integer denominator gives the same ``Fraction``s
+    as the series summed one ``Fraction`` product at a time."""
+    got = equilibria._iso_series(*cell)
+    want = oracles.iso_series(*cell)
+    assert got == want
+    assert type(got) is tuple and {type(x) for x in got} <= {Fraction}
+
+
+def test_iso_series_without_coefficients_is_empty():
+    for nu, mu, N, c in ((0, 0, 0, 0), (3, 5, -1, 0), (5, Fraction(7, 2), -4, Fraction(1, 3))):
+        assert equilibria._iso_series(nu, mu, N, c) == oracles.iso_series(nu, mu, N, c) == ()
+    assert cbar_closed_form(0, 1, 0) == cbar_closed_form(4, -2, -1) == ()
+    # a degree without a core polynomial is refused before the size is looked at
+    for nu in (2, 6, 7):
+        for N in (0, 4):
+            with pytest.raises(ValueError) as want:
+                oracles.iso_series(nu, 3, N)
+            with pytest.raises(ValueError) as got:
+                equilibria._iso_series(nu, 3, N, 0)
+            assert str(got.value) == str(want.value)
 
 
 def test_iso_residuals_exactly_zero():

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
 from goldfish import polynomials
+from goldfish.equilibria import cbar_closed_form
+from goldfish.spectrum import build_pencil
 from goldfish.polynomials import (
     IntegerPolynomial,
     MonicPolynomial,
@@ -334,6 +336,94 @@ def test_integer_roots_equal_oracle(roots, cofactor):
     assert not Counter(roots) - Counter(got[0])
     rebuilt = oracles.poly_mul(IntegerPolynomial.from_integer_roots(got[0]), got[1])
     assert rebuilt.coeffs == p.coeffs
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.lists(st.integers(-12, -2), min_size=1, max_size=3),
+    st.lists(st.integers(2, 12), max_size=2),
+    st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=8), min_size=1, max_size=4
+    ),
+)
+def test_integer_roots_skip_only_non_roots(zeros, ones, minus_ones, negative, positive, cofactor):
+    """0 and +-1 with multiplicity, negative roots and a cofactor with no
+    integer root: skipping the candidates that do not divide the lowest
+    nonzero coefficient loses none of the roots."""
+    cofactor = IntegerPolynomial(tuple(cofactor))
+    assume(not cofactor.is_zero and not oracles.integer_roots(cofactor)[0])
+    roots = [0] * zeros + [1] * ones + [-1] * minus_ones + negative + positive
+    p = oracles.poly_mul(IntegerPolynomial.from_integer_roots(roots), cofactor)
+    got = integer_roots(p)
+    assert got == (sorted(roots), cofactor)
+    assert got == oracles.integer_roots(p)
+
+
+@pytest.mark.parametrize(
+    "shift, roots, horner", [(0, 20, 52), (Fraction(1, 2), 0, 19)], ids=["grid", "shifted"]
+)
+def test_integer_roots_horner_count_on_a_grid_cell(monkeypatch, shift, roots, horner):
+    """The (nu, mu, N) = (3, 5, 10) pencil (20 integer roots, window
+    [-49, 49]) and the same with c_1 shifted by 1/2 (none, window [-31, 31]).
+    Only candidates dividing the lowest nonzero coefficient get a Horner
+    test: 52 and 19 tests, where testing every candidate takes 76 and 63."""
+    cbar = list(cbar_closed_form(3, 5, 10))
+    cbar[0] += shift
+    pencil = build_pencil(cbar)
+    poly = pencil_charpoly_exact(pencil.A, pencil.B)
+    calls = Counter()
+
+    def counted(coeffs, x):
+        calls["horner"] += 1
+        return _horner(coeffs, x)
+
+    monkeypatch.setattr(polynomials, "_horner", counted)
+    found, rest = integer_roots(poly)
+    assert len(found) == roots and rest.degree == 20 - roots
+    assert calls["horner"] == horner
+
+
+def test_root_bound_past_the_float_range():
+    """Coefficient quotients beyond 1.8e308 give an integer window, not an
+    overflow, and the window still holds every root."""
+    far = 10**200
+    p = IntegerPolynomial.from_integer_roots([-far, 3, far + 1])
+    assert far + 1 <= _root_bound([int(a) for a in p.coeffs]) <= 3 * far
+    assert integer_roots(p) == ([-far, 3, far + 1], IntegerPolynomial((Fraction(1),)))
+    # p^2 + 10^400 has its roots at +-10^200 i
+    assert 10**200 <= _root_bound([10**400, 0, 1]) <= 3 * 10**200
+    assert _root_bound([3, 10**500]) == _root_bound([0, 0, 7]) == 1
+
+
+@given(
+    st.lists(st.integers(-(10**400), 10**400), min_size=1, max_size=4),
+    st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=3),
+)
+def test_root_bound_holds_every_root(roots, cofactor):
+    """Roots up to 1e400, far past the float range, lie inside the window."""
+    assume(cofactor[-1])
+    c = oracles.poly_mul(
+        IntegerPolynomial.from_integer_roots(roots), IntegerPolynomial(tuple(cofactor))
+    ).coeffs
+    assert max(map(abs, roots)) <= _root_bound([int(a) for a in c])
+
+
+def test_root_bound_is_no_wider_than_in_floats():
+    """On the N <= 6 grid pencils and their c_1 shifts, where every float is
+    in range, the window is the one the float Cauchy and Fujiwara bounds give."""
+    for N in range(1, 7):
+        for nu in (0, 1, 3, 4, 5):
+            for mu in range(nu, N + 1):
+                for shift in (0, Fraction(-3, 2), Fraction(1, 2)):
+                    cbar = list(cbar_closed_form(nu, mu, N))
+                    cbar[0] += shift
+                    pencil = build_pencil(cbar)
+                    poly = pencil_charpoly_exact(pencil.A, pencil.B)
+                    den = math.lcm(*(a.denominator for a in poly.coeffs))
+                    c = [int(a * den) for a in poly.coeffs]
+                    assert _root_bound(c) == oracles._root_bound(poly), (nu, mu, N, shift)
 
 
 _small_rational = st.fractions(min_value=-6, max_value=6, max_denominator=6)
