@@ -11,14 +11,15 @@ systems real at their equilibria; converting between the two multiplies
 ``c_m`` by ``i^(+-m)``.
 
 Exact-arithmetic utilities (:class:`IntegerPolynomial`,
-:func:`pencil_charpoly_exact`, :func:`integer_roots`) never round: they
-take and return :class:`fractions.Fraction` coefficients, but scale their
-input to integers once and do the arithmetic on plain ``int``.
+:func:`pencil_charpoly_exact`, :func:`integer_roots`) never round: a
+polynomial is integer numerators over one denominator, and every stage
+does its arithmetic on plain ``int`` and hands the next one integers.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import operator
@@ -184,66 +185,83 @@ def coeff_velocities(zeros, zero_velocities, conv: CoefficientConvention = PLAIN
 # exact integer / rational polynomial arithmetic
 
 
-def _as_fraction(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
+def _ratio(x) -> tuple[int, int]:
+    """A rational ``x`` as ``(numerator, denominator > 0)`` in lowest terms."""
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:  # strings such as "1/2"
+        return Fraction(x).as_integer_ratio()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IntegerPolynomial:
     """Exact polynomial with rational coefficients, ascending by power.
 
-    Trailing zero coefficients are trimmed; the zero polynomial is ``(0,)``.
+    Held as integer ``numerators`` over one positive ``denominator``, in
+    lowest terms, with trailing zero numerators trimmed; the zero polynomial
+    is ``(0,)`` over 1.  ``IntegerPolynomial(coeffs)`` takes ints or
+    Fractions, and :attr:`coeffs` is the same polynomial as a tuple of
+    ``Fraction`` (a cached view).  Equality and hashing compare the
+    integers, which is equality of the coefficients.
     """
 
-    coeffs: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
-    def __post_init__(self):
-        c = [_as_fraction(x) for x in self.coeffs]
-        while len(c) > 1 and c[-1] == 0:
-            c.pop()
-        if not c:
-            c = [Fraction(0)]
-        object.__setattr__(self, "coeffs", tuple(c))
+    def __init__(self, coeffs):
+        ratios = [_ratio(x) for x in coeffs]
+        den = math.lcm(*(d for _, d in ratios))
+        self._set([n * (den // d) for n, d in ratios], den)
+
+    @classmethod
+    def _scaled(cls, nums, den: int) -> "IntegerPolynomial":
+        """``sum_k nums[k] p^k / den`` for integer ``nums`` and ``den > 0``."""
+        poly = cls.__new__(cls)
+        poly._set(list(nums), den)
+        return poly
+
+    def _set(self, nums: list, den: int):
+        while len(nums) > 1 and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        object.__setattr__(self, "numerators", tuple(a // g for a in nums) or (0,))
+        object.__setattr__(self, "denominator", den // g)
+
+    @functools.cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.denominator) for a in self.numerators)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.numerators) - 1
 
     @property
     def is_zero(self) -> bool:
-        return self.coeffs == (Fraction(0),)
+        return self.numerators == (0,)
 
     def __call__(self, x) -> Fraction:
         return _horner(self.coeffs, Fraction(x))
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
+        den, terms = self.denominator, []
         for k in range(self.degree, -1, -1):
-            a = self.coeffs[k]
-            if a == 0:
+            a = self.numerators[k]
+            if not a:
                 continue
-            mag = abs(a)
-            coef = "" if (mag == 1 and k > 0) else str(mag)
-            if k == 0:
-                term = str(mag)
-            elif k == 1:
-                term = f"{coef}p" if coef else "p"
-            else:
-                term = f"{coef}p^{k}" if coef else f"p^{k}"
-            sign = "-" if a < 0 else "+"
-            parts.append((sign, term))
-        sign0, term0 = parts[0]
-        text = ("-" if sign0 == "-" else "") + term0
-        for sign, term in parts[1:]:
-            text += f" {sign} {term}"
-        return text
+            g = math.gcd(a, den)
+            text = str(abs(a) // g) if g == den else f"{abs(a) // g}/{den // g}"
+            if k:  # a unit coefficient is omitted
+                text = ("" if abs(a) == den else text) + ("p" if k == 1 else f"p^{k}")
+            terms.append(("- " if a < 0 else "+ ") + text)
+        if not terms:
+            return "0"
+        text = " ".join(terms)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     @staticmethod
     def from_integer_roots(roots) -> "IntegerPolynomial":
         """``prod (p - r)`` over the integer ``roots``."""
-        return IntegerPolynomial(tuple(_linear_product(roots)))
+        return IntegerPolynomial._scaled(_linear_product(roots), 1)
 
 
 def _horner(coeffs, x):
@@ -396,17 +414,17 @@ def _node_determinant(Ai, Bi, D: int, k: int):
 def _node_bits(Ai, Bi, D: int) -> int:
     """Width ``b`` of the node ``2^b`` for ``M(p) = D p^2 I + p Ai + Bi``.
 
-    In the row-sum norm every eigenvalue has ``|l|^2 <= |l| |A| + |B|``, so
-    ``|l| <= r = |A| + sqrt(|B|)``, as has every root of a diagonal
-    quadratic.  Coefficient ``k`` of ``det M(p) = D^N prod (p - l_i)`` is then
-    at most ``D^N C(2N, k) r^k <= D^N (1 + r)^(2N)``; with ``r`` rounded up,
-    ``2^(b - 1)`` exceeds twice that.
+    ``W[i][j] = |Ai[i][j]| + |Bi[i][j]| (+ D on the diagonal)`` is the 1-norm
+    of ``M[i][j](p)``'s coefficients.  By submultiplicativity every
+    coefficient of ``det M(p)`` is at most ``per(W)``, so at most the smaller
+    product of ``W``'s row and column sums (Goldstein-Graham), which also
+    exceeds every diagonal quadratic's roots; ``2^(b - 1)`` exceeds twice it.
     """
-    n = len(Ai)
-    a = max((sum(map(abs, row)) for row in Ai), default=0)
-    b = max((sum(map(abs, row)) for row in Bi), default=0)
-    r = -(-a // D) + math.isqrt(-(-b // D)) + 1
-    return (2 * D**n * (1 + r) ** (2 * n)).bit_length() + 1
+    W = [[abs(a) + abs(b) for a, b in zip(*rows)] for rows in zip(Ai, Bi)]
+    for i, row in enumerate(W):
+        row[i] += D
+    bound = min(math.prod(map(sum, W)), math.prod(map(sum, zip(*W))))
+    return (2 * bound).bit_length() + 1
 
 
 def pencil_charpoly_exact(A, B) -> IntegerPolynomial:
@@ -436,14 +454,14 @@ def pencil_charpoly_exact(A, B) -> IntegerPolynomial:
       matrix takes the node value again, checked the same way; only a
       second failure raises :class:`CertificateError`.
     """
-    A = [[_as_fraction(x) for x in row] for row in A]
-    B = [[_as_fraction(x) for x in row] for row in B]
+    A = [[_ratio(x) for x in row] for row in A]
+    B = [[_ratio(x) for x in row] for row in B]
     n = len(A)
     if any(len(r) != n for r in A) or len(B) != n or any(len(r) != n for r in B):
         raise ValueError("A and B must be square matrices of equal size")
-    D = math.lcm(*(x.denominator for row in A + B for x in row))
-    Ai = [[x.numerator * (D // x.denominator) for x in row] for row in A]
-    Bi = [[x.numerator * (D // x.denominator) for x in row] for row in B]
+    D = math.lcm(*(d for row in A + B for _, d in row))
+    Ai = [[a * (D // d) for a, d in row] for row in A]
+    Bi = [[a * (D // d) for a, d in row] for row in B]
     b = _node_bits(Ai, Bi, D)
     half, mask, scale = 1 << (b - 1), (1 << b) - 1, D**n
     full = _node_determinant(Ai, Bi, D, n)
@@ -456,7 +474,7 @@ def pencil_charpoly_exact(A, B) -> IntegerPolynomial:
             value = (value - digits[-1]) >> b
         if value or _horner(digits, n + 1) != full(n + 1) or digits[-1] != scale:
             raise CertificateError("charpoly cross-check failed")
-        return IntegerPolynomial(tuple(Fraction(c, scale) for c in digits))
+        return IntegerPolynomial._scaled(digits, scale)
 
     try:
         return read_off(_node_determinant(Ai, Bi, D, _border_width(Ai, Bi)))
@@ -527,8 +545,7 @@ def integer_roots(q: IntegerPolynomial):
     """
     if q.is_zero:
         raise ValueError("the zero polynomial has no well-defined root set")
-    den = math.lcm(*(a.denominator for a in q.coeffs))
-    c = [a.numerator * (den // a.denominator) for a in q.coeffs]
+    c = list(q.numerators)
     roots = []
     if len(c) > 1:
         low = next(filter(None, c))
@@ -542,4 +559,4 @@ def integer_roots(q: IntegerPolynomial):
                 break
     if not roots:
         return roots, q
-    return roots, IntegerPolynomial(tuple(Fraction(a, den) for a in c))
+    return roots, IntegerPolynomial._scaled(c, q.denominator)

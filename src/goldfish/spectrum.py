@@ -249,7 +249,7 @@ def verify_integrality(
     ok = True
     for cval, pencil, poly in _cell_pencils(nu, mu, N, free_samples, perturb_c1):
         roots, rem = integer_roots(poly)
-        all_int = len(roots) == 2 * N and rem.coeffs == (Fraction(1),)
+        all_int = len(roots) == 2 * N and rem.numerators == (1,) and rem.denominator == 1
         ok = ok and all_int
         samples.append(PencilSample(cval, poly, tuple(roots), rem, all_int, pencil))
     return SpectralReport(nu, Fraction(mu), N, tuple(samples), ok)
@@ -391,7 +391,7 @@ def verify_conjectures(which: str, nu: int, mu, N: int, free_samples=None, tol: 
         for cval, _, poly in _cell_pencils(nu, mu, N, free_samples):
             if charpoly is None:
                 charpoly = poly
-            if poly.coeffs != product.coeffs:
+            if poly != product:
                 counterexamples.append(
                     ConjectureCounterexample(nu, Fraction(mu), N, cval, poly, product)
                 )

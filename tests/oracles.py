@@ -497,6 +497,38 @@ def integer_roots(q: IntegerPolynomial):
     return sorted(roots), rem
 
 
+def poly_str(coeffs) -> str:
+    """The text of the rational polynomial with ascending ``coeffs``,
+    formatted term by term through ``Fraction`` comparisons and ``abs``:
+    highest power first, a unit coefficient omitted except on the constant,
+    ``n/d`` for non-integers, the zero polynomial as ``0``."""
+    c = [Fraction(x) for x in coeffs]
+    while c and c[-1] == 0:
+        c.pop()
+    if not c:
+        return "0"
+    parts = []
+    for k in range(len(c) - 1, -1, -1):
+        a = c[k]
+        if a == 0:
+            continue
+        mag = abs(a)
+        coef = "" if (mag == 1 and k > 0) else str(mag)
+        if k == 0:
+            term = str(mag)
+        elif k == 1:
+            term = f"{coef}p" if coef else "p"
+        else:
+            term = f"{coef}p^{k}" if coef else f"p^{k}"
+        sign = "-" if a < 0 else "+"
+        parts.append((sign, term))
+    sign0, term0 = parts[0]
+    text = ("-" if sign0 == "-" else "") + term0
+    for sign, term in parts[1:]:
+        text += f" {sign} {term}"
+    return text
+
+
 def poly_add(p: IntegerPolynomial, q: IntegerPolynomial) -> IntegerPolynomial:
     """Coefficientwise sum of two exact polynomials."""
     pairs = itertools.zip_longest(p.coeffs, q.coeffs, fillvalue=Fraction(0))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from goldfish import polynomials
-from goldfish.equilibria import cbar_closed_form
+from goldfish.equilibria import ISO_NU_VALUES, cbar_closed_form
 from goldfish.spectrum import build_pencil
 from goldfish.polynomials import (
     IntegerPolynomial,
@@ -126,6 +126,54 @@ def test_integer_polynomial_str_and_eval():
     assert str(p) == "p^2 - 3p + 2"
     assert p(5) == 12
     assert oracles.deflate(p, 1).coeffs == (Fraction(-2), Fraction(1))
+
+
+_coefficient = st.one_of(
+    st.sampled_from([0, 1, -1, Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3)]),
+    st.integers(-(10**6), 10**6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+
+
+@given(st.lists(_coefficient, max_size=7))
+@example([])
+@example([0, Fraction(0)])
+@example([Fraction(-1)])
+@example([0, 1, -1])
+@example([Fraction(1, 6), Fraction(-1, 3), Fraction(1, 2), 0, 0])
+@example([2, Fraction(-4, 2), Fraction(3, 3), -1])
+def test_integer_polynomial_str_equals_the_fraction_text(coeffs):
+    """The text built from the integer form is the one the ``Fraction``
+    coefficients give, byte for byte: signs, ``p^k``, the omitted unit
+    coefficient, ``n/d`` in lowest terms, constants and the zero polynomial."""
+    assert str(IntegerPolynomial(coeffs)) == oracles.poly_str(coeffs)
+
+
+@given(st.lists(st.integers(-(10**6), 10**6), max_size=6), st.integers(1, 12), st.integers(1, 12))
+@example([0, 0], 5, 3)
+@example([3, 0, -6], 3, 4)
+def test_integer_polynomial_has_one_form(nums, den, k):
+    """Ints, Fractions, a mix of both, trailing zeros, and integers over an
+    unreduced common denominator give one polynomial: equal, equally hashed,
+    in lowest terms, with the same ``Fraction`` view and the same text."""
+    rational = tuple(Fraction(a, den) for a in nums)
+    forms = [
+        IntegerPolynomial(rational),
+        IntegerPolynomial(tuple(int(a) if a.denominator == 1 else a for a in rational)),
+        IntegerPolynomial(rational + (0, Fraction(0))),
+        IntegerPolynomial._scaled([k * a for a in nums] + [0], k * den),
+    ]
+    view = rational
+    while len(view) > 1 and not view[-1]:
+        view = view[:-1]
+    view = view or (Fraction(0),)
+    for p in forms:
+        assert p == forms[0] and hash(p) == hash(forms[0])
+        assert p.denominator > 0 and math.gcd(p.denominator, *p.numerators) == 1
+        assert type(p.coeffs) is tuple and all(type(a) is Fraction for a in p.coeffs)
+        assert p.coeffs == view and p.degree == len(view) - 1
+        assert p.is_zero == (view == (Fraction(0),))
+        assert str(p) == oracles.poly_str(rational)
 
 
 def test_horner_equals_power_sum_on_every_scalar_type():
@@ -515,6 +563,22 @@ def test_node_bits_bound_the_charpoly(pencil):
     scale = D ** len(A)
     assert all(abs(c * scale) < 2 ** (bits - 1) for c in oracles.charpoly(A, B).coeffs)
     assert all(_diagonal_quadratics(Ai, Bi, D, 2**bits))
+
+
+def test_node_bits_near_the_coefficients_on_the_grid():
+    """On the N <= 20 grid the node is at most twice as wide as the largest
+    coefficient of ``det M(p) = D^N charpoly`` plus a constant, and wide
+    enough for it."""
+    for N in range(1, 21):
+        for nu in ISO_NU_VALUES:
+            for mu in range(nu, N + 1):
+                pen = build_pencil(cbar_closed_form(nu, mu, N))
+                Ai, Bi, D = _scaled(pen.A, pen.B)
+                poly = pencil_charpoly_exact(pen.A, pen.B)
+                top = max(map(abs, poly.numerators)) * D**N // poly.denominator
+                bits = polynomials._node_bits(Ai, Bi, D)
+                assert top < 2 ** (bits - 1), (nu, mu, N)
+                assert bits <= 2 * top.bit_length() + 20, (nu, mu, N, bits, top.bit_length())
 
 
 def _skew_nodes(mp, bad):
