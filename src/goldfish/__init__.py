@@ -46,6 +46,7 @@ from .polynomials import (
     IntegerPolynomial,
     MonicPolynomial,
     PLAIN,
+    RationalMatrix,
     TILDE,
     coeff_velocities,
     find_roots,

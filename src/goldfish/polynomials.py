@@ -34,6 +34,7 @@ __all__ = [
     "GoldfishError",
     "IntegerPolynomial",
     "MonicPolynomial",
+    "RationalMatrix",
     "RootFindingError",
     "coeff_velocities",
     "find_roots",
@@ -186,11 +187,14 @@ def coeff_velocities(zeros, zero_velocities, conv: CoefficientConvention = PLAIN
 
 
 def _ratio(x) -> tuple[int, int]:
-    """A rational ``x`` as ``(numerator, denominator > 0)`` in lowest terms."""
+    """A finite rational ``x`` as Python ints ``(numerator, denominator > 0)``
+    in lowest terms; anything else raises ``ValueError``."""
+    ratio = getattr(x, "as_integer_ratio", None)  # none on strings such as "1/2"
     try:
-        return x.as_integer_ratio()
-    except AttributeError:  # strings such as "1/2"
-        return Fraction(x).as_integer_ratio()
+        n, d = ratio() if ratio else Fraction(x).as_integer_ratio()
+    except (TypeError, OverflowError) as err:  # complex, None, infinities
+        raise ValueError(f"not a finite rational: {x!r}") from err
+    return int(n), int(d)  # a numpy integer gives numpy parts
 
 
 @dataclass(frozen=True, init=False)
@@ -262,6 +266,59 @@ class IntegerPolynomial:
     def from_integer_roots(roots) -> "IntegerPolynomial":
         """``prod (p - r)`` over the integer ``roots``."""
         return IntegerPolynomial._scaled(_linear_product(roots), 1)
+
+
+@dataclass(frozen=True, init=False)
+class RationalMatrix:
+    """Exact matrix with rational entries.
+
+    Held as integer ``numerators`` (a tuple of rows) over one positive
+    ``denominator``, in lowest terms.  ``RationalMatrix(rows)`` takes nested
+    ints or Fractions, and returns an equal copy of a ``RationalMatrix``;
+    :attr:`rows` is the same matrix as a tuple of ``Fraction`` rows (a cached
+    view), and ``len``, indexing and iteration read it.  Equality and
+    hashing compare the integers, which is equality of the entries.
+    """
+
+    numerators: tuple[tuple[int, ...], ...]
+    denominator: int
+
+    def __init__(self, rows):
+        if isinstance(rows, RationalMatrix):  # already in lowest terms
+            object.__setattr__(self, "numerators", rows.numerators)
+            object.__setattr__(self, "denominator", rows.denominator)
+            return
+        ratios = [[_ratio(x) for x in row] for row in rows]
+        den = math.lcm(*(d for row in ratios for _, d in row))
+        self._set([[n * (den // d) for n, d in row] for row in ratios], den)
+
+    @classmethod
+    def _scaled(cls, rows, den: int) -> "RationalMatrix":
+        """``rows / den`` for integer ``rows`` and ``den > 0``."""
+        matrix = cls.__new__(cls)
+        matrix._set(rows, den)
+        return matrix
+
+    def _set(self, rows, den: int):
+        g = math.gcd(den, *itertools.chain.from_iterable(rows))
+        if g != 1:
+            rows, den = [[a // g for a in row] for row in rows], den // g
+        object.__setattr__(self, "numerators", tuple(map(tuple, rows)))
+        object.__setattr__(self, "denominator", den)
+
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        den = self.denominator
+        return tuple(tuple(Fraction(a, den) for a in row) for row in self.numerators)
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def __getitem__(self, i) -> tuple[Fraction, ...]:
+        return self.rows[i]
+
+    def __iter__(self):
+        return iter(self.rows)
 
 
 def _horner(coeffs, x):
@@ -430,9 +487,11 @@ def _node_bits(Ai, Bi, D: int) -> int:
 def pencil_charpoly_exact(A, B) -> IntegerPolynomial:
     """``det(p^2 I + p A + B)`` computed exactly for rational ``A``, ``B``.
 
-    ``A`` and ``B`` are scaled to integers once, by the lcm ``D`` of all
-    their denominators, so ``M(p) = D (p^2 I + p A + B)`` is an integer
-    matrix at every integer ``p`` and the determinant is
+    ``A`` and ``B`` are nested rationals or :class:`RationalMatrix` (whose
+    integers a pencil's matrices already are, so reading them makes no
+    ``Fraction``).  Over ``D``, the lcm of the two matrices' denominators
+    and so of all their entries', ``M(p) = D (p^2 I + p A + B)`` is an
+    integer matrix at every integer ``p`` and the determinant is
     ``det M(p) / D^N``.
 
     * **One node.**  ``det M(p)`` is taken once, at ``p = 2^b``
@@ -454,14 +513,17 @@ def pencil_charpoly_exact(A, B) -> IntegerPolynomial:
       matrix takes the node value again, checked the same way; only a
       second failure raises :class:`CertificateError`.
     """
-    A = [[_ratio(x) for x in row] for row in A]
-    B = [[_ratio(x) for x in row] for row in B]
+    A, B = RationalMatrix(A), RationalMatrix(B)
     n = len(A)
-    if any(len(r) != n for r in A) or len(B) != n or any(len(r) != n for r in B):
+    if len(B) != n or any(len(r) != n for r in A.numerators + B.numerators):
         raise ValueError("A and B must be square matrices of equal size")
-    D = math.lcm(*(d for row in A + B for _, d in row))
-    Ai = [[a * (D // d) for a, d in row] for row in A]
-    Bi = [[a * (D // d) for a, d in row] for row in B]
+    D = math.lcm(A.denominator, B.denominator)
+    Ai, Bi = (
+        M.numerators  # every grid pencil: one denominator, D = 1
+        if M.denominator == D
+        else [[a * (D // M.denominator) for a in row] for row in M.numerators]
+        for M in (A, B)
+    )
     b = _node_bits(Ai, Bi, D)
     half, mask, scale = 1 << (b - 1), (1 << b) - 1, D**n
     full = _node_determinant(Ai, Bi, D, n)

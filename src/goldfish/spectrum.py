@@ -25,7 +25,13 @@ import numpy as np
 from .dynamics import _iso_bracket
 from .equilibria import ISO_NU_VALUES, EquilibriumConfig, cbar_closed_form
 from .linalg import eigenvalues, multiset_distance
-from .polynomials import IntegerPolynomial, _deflate, integer_roots, pencil_charpoly_exact
+from .polynomials import (
+    IntegerPolynomial,
+    RationalMatrix,
+    _deflate,
+    integer_roots,
+    pencil_charpoly_exact,
+)
 
 __all__ = [
     "C215Result",
@@ -49,10 +55,20 @@ DEFAULT_NU5_SAMPLES = (Fraction(0), Fraction(1), Fraction(-3), Fraction(7, 2))
 
 @dataclass(frozen=True)
 class QuadraticPencil:
-    """The pair ``(A, B)`` of the quadratic eigenvalue problem, exact."""
+    """The pair ``(A, B)`` of the quadratic eigenvalue problem, exact.
 
-    A: tuple[tuple[Fraction, ...], ...]
-    B: tuple[tuple[Fraction, ...], ...]
+    Each matrix is a :class:`~goldfish.polynomials.RationalMatrix`, integer
+    rows over one denominator; ``QuadraticPencil(A, B)`` also takes nested
+    rationals and normalises them.  The exact route reads the integers, and
+    only the numeric solver reads the ``Fraction`` rows.
+    """
+
+    A: RationalMatrix
+    B: RationalMatrix
+
+    def __post_init__(self):
+        object.__setattr__(self, "A", RationalMatrix(self.A))
+        object.__setattr__(self, "B", RationalMatrix(self.B))
 
     @property
     def N(self) -> int:
@@ -139,9 +155,6 @@ def _pencil_template(N: int):
     return tuple(A), tuple(B), degree
 
 
-_ZERO = Fraction(0)
-
-
 def build_pencil(config_or_cbar) -> QuadraticPencil:
     """Linearise the isochronous coefficient recurrence about the
     equilibrium ``cbar_1..cbar_N``.
@@ -151,7 +164,8 @@ def build_pencil(config_or_cbar) -> QuadraticPencil:
     ``A = dF/dw`` and ``B = -dF/dc`` at ``(cbar, 0)``.  Both come from a
     per-``N`` template of integer polynomials in ``cbar``, differentiated
     symbolically from :func:`_iso_bracket`, evaluated on the integers
-    ``x = d cbar`` (``d`` the common denominator) over ``d^degree``.
+    ``x = d cbar`` (``d`` the common denominator) into integer rows over
+    ``d^degree``, reduced once; no entry becomes a ``Fraction``.
     """
     cb = _as_cbar(config_or_cbar)
     N = len(cb)
@@ -164,7 +178,7 @@ def build_pencil(config_or_cbar) -> QuadraticPencil:
     den = d ** degree
 
     def evaluate(entries):
-        rows = [[_ZERO] * N for _ in range(N)]
+        rows = [[0] * N for _ in range(N)]
         for i, j, terms in entries:
             total = 0
             for a, mono in terms:
@@ -172,8 +186,8 @@ def build_pencil(config_or_cbar) -> QuadraticPencil:
                 for v in mono:
                     t *= x[v]
                 total += t
-            rows[i][j] = Fraction(total, den)
-        return tuple(map(tuple, rows))
+            rows[i][j] = total
+        return RationalMatrix._scaled(rows, den)
 
     return QuadraticPencil(evaluate(A_entries), evaluate(B_entries))
 

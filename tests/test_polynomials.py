@@ -14,6 +14,7 @@ from goldfish.spectrum import build_pencil
 from goldfish.polynomials import (
     IntegerPolynomial,
     MonicPolynomial,
+    RationalMatrix,
     TILDE,
     coeff_velocities,
     find_roots,
@@ -492,6 +493,42 @@ def test_pencil_charpoly_equals_oracle_on_random_rationals(pencil):
     assert integer_roots(poly) == oracles.integer_roots(poly)
 
 
+@given(_rational_pencils())
+def test_rational_matrix_round_trip_and_kernel_inputs(pencil):
+    """A ``RationalMatrix`` is its entries in lowest terms over a positive
+    denominator, and the kernel gives the same polynomial on it as on
+    ``Fraction`` tuples, also when ``A`` and ``B`` have different
+    denominators."""
+    A, B = pencil
+    for rows in (A, B):
+        M = RationalMatrix(rows)
+        assert M.rows == tuple(map(tuple, rows)) and RationalMatrix(M) == M
+        assert M.denominator > 0 and math.gcd(M.denominator, *sum(M.numerators, ())) == 1
+    # a factor 49 in the denominator, which no entry of A has
+    B = [[x / 7 for x in row] for row in B]
+    B[0][0] += Fraction(1, 49)
+    assert RationalMatrix(B).denominator % 49 == 0
+    poly = pencil_charpoly_exact(tuple(map(tuple, A)), tuple(map(tuple, B)))
+    assert pencil_charpoly_exact(RationalMatrix(A), RationalMatrix(B)) == poly
+    assert poly == oracles.charpoly(A, B)
+
+
+def test_exact_inputs_from_numpy_integers():
+    """numpy integer entries become Python ints, and an entry that is not
+    a finite rational is a ValueError."""
+    poly = pencil_charpoly_exact(np.array([[1, 2], [3, 4]]), [[0, 0], [0, 0]])
+    assert poly == IntegerPolynomial((0, 0, -2, 5, 1))  # p^4 + 5p^3 - 2p^2
+    assert str(poly) == "p^4 + 5p^3 - 2p^2"
+    q = IntegerPolynomial(np.array([-6, 1, 1]))
+    assert all(type(a) is int for a in q.numerators)
+    assert integer_roots(q)[0] == [-3, 2]
+    for bad in (1j, None, float("inf"), float("nan"), "x"):
+        with pytest.raises(ValueError):
+            pencil_charpoly_exact([[bad]], [[0]])
+        with pytest.raises(ValueError):
+            IntegerPolynomial((1, bad))
+
+
 def _count_bareiss(mp, wrong=lambda size: False):
     """Patch ``polynomials._bareiss_det`` to record the size of every
     matrix it is given; where ``wrong(size)`` holds, it returns det + 1."""
@@ -539,7 +576,7 @@ def test_pencil_charpoly_bordered_equals_oracle(pencil):
 def _scaled(A, B):
     """``(Ai, Bi, D)``: the pencil scaled to integers by the lcm ``D`` of its
     denominators, as the kernel scales it."""
-    D = math.lcm(*(Fraction(x).denominator for row in A + B for x in row))
+    D = math.lcm(*(Fraction(x).denominator for row in [*A, *B] for x in row))
     return [[int(x * D) for x in row] for row in A], [[int(x * D) for x in row] for row in B], D
 
 

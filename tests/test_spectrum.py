@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import oracles
-from goldfish import polynomials
+from goldfish import polynomials, spectrum
 from goldfish.equilibria import cbar_closed_form, expand_iso_psi
 from goldfish.polynomials import IntegerPolynomial, integer_roots, pencil_charpoly_exact
 from goldfish.spectrum import (
@@ -33,19 +33,19 @@ def multiset_dev(a, b):
 
 def test_pencil_ladder_cell():
     pen = build_pencil([Fraction(0), Fraction(0)])
-    assert pen.A == ((Fraction(-3), Fraction(0)), (Fraction(0), Fraction(-5)))
-    assert pen.B == ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(6)))
+    assert pen.A.rows == ((Fraction(-3), Fraction(0)), (Fraction(0), Fraction(-5)))
+    assert pen.B.rows == ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(6)))
 
 
 def test_pencil_hand_cell():
     pen = build_pencil(cbar_closed_form(0, 1, 2))
-    assert pen.A == ((Fraction(-3), Fraction(0)), (Fraction(0), Fraction(-3)))
-    assert pen.B == ((Fraction(-4), Fraction(-6)), (Fraction(0), Fraction(2)))
+    assert pen.A.rows == ((Fraction(-3), Fraction(0)), (Fraction(0), Fraction(-3)))
+    assert pen.B.rows == ((Fraction(-4), Fraction(-6)), (Fraction(0), Fraction(2)))
 
 
 def test_pencil_single_row():
     pen = build_pencil([Fraction(0)])
-    assert pen.A == ((Fraction(-3),),) and pen.B == ((Fraction(2),),)
+    assert pen.A.rows == ((Fraction(-3),),) and pen.B.rows == ((Fraction(2),),)
 
 
 def test_pencil_triangular_at_trivial_equilibrium():
@@ -157,6 +157,44 @@ def test_schur_route_certifies_every_grid_pencil(monkeypatch):
         pencil_charpoly_exact(pen.A, pen.B)
         assert k <= 2 and sizes == [k] * (k > 0) + [pen.N], pen
     assert widths == {0, 1, 2}
+
+
+def test_exact_route_reads_no_fraction_view(monkeypatch):
+    """Building a grid pencil, its charpoly, the integrality verdict and the
+    c215 comparison read only the integer rows: no pencil's cached
+    ``Fraction`` view is ever built."""
+    built = []
+    build = spectrum.build_pencil
+
+    def recorded(cbar):
+        built.append(build(cbar))
+        return built[-1]
+
+    monkeypatch.setattr(spectrum, "build_pencil", recorded)
+    assert verify_integrality(3, 5, 10).all_integers
+    assert not verify_conjectures("c215", 3, 5, 10).match
+    assert verify_conjectures("c215", 5, 6, 8).match
+    pen = build_pencil(cbar_closed_form(4, 6, 9))
+    pencil_charpoly_exact(pen.A, pen.B)
+    assert len(built) == 1 + 1 + len(DEFAULT_NU5_SAMPLES)
+    for pen in built + [pen]:
+        assert "rows" not in vars(pen.A) and "rows" not in vars(pen.B)
+
+
+def test_numeric_solver_reads_every_entry_as_its_float(monkeypatch):
+    """On the N <= 10 grid and its c_1 shifts the companion matrix holds
+    ``float(Fraction)`` of every pencil entry, so the numeric spectra in
+    the --numeric and c217 reports do not move."""
+    seen = []
+    monkeypatch.setattr(spectrum, "eigenvalues", lambda m: seen.append(m) or np.zeros(0))
+    for cbar in _grid_cbars():
+        for delta in (0, Fraction(1, 2), Fraction(-3, 2)):
+            pen = build_pencil((cbar[0] + delta,) + cbar[1:])
+            spectrum.solve_pencil_numeric(pen)
+            n = pen.N
+            for block, M in ((seen[-1][n:, n:], pen.A), (seen[-1][n:, :n], pen.B)):
+                want = [[-float(Fraction(a, M.denominator)) for a in row] for row in M.numerators]
+                assert block.tolist() == want, (cbar, delta)
 
 
 # ---------------------------------------------------------------------------
