@@ -311,7 +311,7 @@ def cmd_spectrum(args) -> int:
 def cmd_conjecture(args) -> int:
     samples = _parse_fraction_list(args.free) if args.free else None
     res = spectrum.verify_conjectures(
-        args.which, args.nu, _parse_fraction(args.mu), args.n, samples, tol=args.tol
+        args.which, args.nu, _parse_fraction(args.mu), args.n, samples
     )
     if args.which == "c215":
         results = {
@@ -595,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True, help="integer (c215) or rational (c217)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--free", help="comma list of free-constant samples")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=1e-6, help="echoed in the report only")
     p.add_argument("--json", help="report path (default: stdout)")
     p.set_defaults(func=cmd_conjecture)
 

@@ -725,6 +725,8 @@ def detect_period(
     trajectory must be uniformly sampled with an integer number of
     samples per base period and must span ``p_max + 1`` base periods.
     """
+    if p_max < 1:
+        raise ValueError(f"p_max must be at least 1, got {p_max}")
     times = traj.times
     if times.size < 3:
         raise ValueError("trajectory too short for period detection")

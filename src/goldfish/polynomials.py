@@ -394,78 +394,53 @@ def _border_width(Ai, Bi) -> int:
     return max((j + 1 for i in range(n) for j in range(i) if Ai[i][j] or Bi[i][j]), default=0)
 
 
-def _node_determinant(Ai, Bi, D: int, k: int):
-    """``det_at(p) = det(M)`` for the integer matrix ``M = D p^2 I + p Ai + Bi``
-    whose trailing block ``T = M[k:, k:]`` is upper triangular, at an
-    integer ``p`` where no diagonal quadratic
+def _node_det(Ai, Bi, D: int, k: int, p: int) -> int:
+    """``det M`` for the integer matrix ``M = D p^2 I + p Ai + Bi`` whose
+    trailing block ``T = M[k:, k:]`` is upper triangular, at an integer
+    ``p`` where no diagonal quadratic
     ``q_j = D p^2 + p Ai[j][j] + Bi[j][j]`` (``j >= k``) vanishes.
 
     Uses the Schur complement of ``T``.  ``T X = M[k:, :k]`` is solved by
-    back substitution over the nonzeros of ``T``, carrying
-    ``Y_i = d_i X_i`` with ``d_i = prod_(j >= i) q_j``, so every step stays
-    in integers.  A row of ``X`` that the nonzero pattern forces to zero
-    (nothing in ``M[i, :k]``, and no entry of ``T`` reaching a nonzero row)
-    is never formed.  With ``dk = d_k = det T``,
+    back substitution, carrying ``Y_i = d_i X_i`` with
+    ``d_i = prod_(j >= i) q_j``, so every step stays in integers; a row of
+    ``Y`` that comes out zero is dropped.  With ``dk = d_k = det T``,
     ``dk S = dk M[:k, :k] - M[:k, k:] dk X`` is a ``k x k`` integer matrix
-    and ``det M = det(dk S) / dk^(k - 1)``, the one (exact) division per
-    evaluation; at ``k = 0``, ``M`` is triangular and ``det M = dk``.  At
-    ``k = n``, ``T`` is empty and this is plain Bareiss on ``M``.
+    and ``det M = det(dk S) / dk^(k - 1)``, the one (exact) division; at
+    ``k = 0``, ``M`` is triangular and ``det M = dk``.  At ``k = n``, ``T``
+    is empty and this is plain Bareiss on ``M``.
     """
     n = len(Ai)
-    nonzero = set()  # rows of X, less k, that the pattern lets be nonzero
-
-    def right_of(i, first):
-        """Nonzeros of row ``i`` in columns ``>= first`` whose row of ``X``
-        can be nonzero, as (column - k, A entry, B entry)."""
-        return [
-            (j - k, Ai[i][j], Bi[i][j])
-            for j in range(first, n)
-            if (Ai[i][j] or Bi[i][j]) and j - k in nonzero
-        ]
-
-    solve = []  # (i - k, M[i, :k] as (A, B) pairs, nonzeros of T) per nonzero row of X
+    d2 = D * p * p
+    q = [d2 + p * Ai[j][j] + Bi[j][j] for j in range(k, n)]
+    d = list(itertools.accumulate(reversed(q), operator.mul, initial=1))[::-1]
+    dk = d[0]
+    if not k:
+        return dk
+    Y = {}  # the nonzero rows of Y, keyed by their row of M
     for i in reversed(range(k, n)):
-        upper = right_of(i, i + 1)
-        if upper or any(Ai[i][:k]) or any(Bi[i][:k]):
-            nonzero.add(i - k)
-            solve.append((i - k, list(zip(Ai[i][:k], Bi[i][:k])), upper))
-    border = [(list(zip(Ai[a][:k], Bi[a][:k])), right_of(a, k)) for a in range(k)]
-    diagonal = [(Ai[i][i], Bi[i][i]) for i in range(k, n)]
-    columns = range(k)
-
-    def det_at(p: int) -> int:
-        d2 = D * p * p
-        q = [d2 + p * a + b for a, b in diagonal]
-        d = list(itertools.accumulate(reversed(q), operator.mul, initial=1))[::-1]
-        dk = d[0]
-        if not k:
-            return dk
-        Y = {}
-        for i, entries, upper in solve:
-            # Y_i = d_(i+1) C_i - sum_j T_ij (d_(i+1) / d_j) Y_j
-            y = [d[i + 1] * (p * a + b) for a, b in entries]
-            for j, a, b in upper:
-                t = (p * a + b) * math.prod(q[i + 1 : j])
-                yj = Y[j]
-                for c in columns:
+        # Y_i = d_(i+1) C_i - sum_j T_ij (d_(i+1) / d_j) Y_j
+        y = [d[i - k + 1] * (p * a + b) for a, b in zip(Ai[i][:k], Bi[i][:k])]
+        for j, yj in Y.items():
+            if t := p * Ai[i][j] + Bi[i][j]:
+                t *= math.prod(q[i - k + 1 : j - k])
+                for c in range(k):
                     y[c] -= t * yj[c]
+        if any(y):
             Y[i] = y
-        S = []
-        for a, (entries, right) in enumerate(border):
-            row = [dk * (p * x + y) for x, y in entries]
-            row[a] += dk * d2
-            for j, x, y in right:
-                t = (p * x + y) * math.prod(q[:j])  # dk / d_j
-                yj = Y[j]
-                for c in columns:
+    S = []
+    for a in range(k):
+        row = [dk * (p * x + y) for x, y in zip(Ai[a][:k], Bi[a][:k])]
+        row[a] += dk * d2
+        for j, yj in Y.items():
+            if t := p * Ai[a][j] + Bi[a][j]:
+                t *= math.prod(q[: j - k])  # dk / d_j
+                for c in range(k):
                     row[c] -= t * yj[c]
-            S.append(row)
-        det, rem = divmod(_bareiss_det(S), dk ** (k - 1))
-        if rem:
-            raise CertificateError("Schur complement determinant is not exact")
-        return det
-
-    return det_at
+        S.append(row)
+    det, rem = divmod(_bareiss_det(S), dk ** (k - 1))
+    if rem:
+        raise CertificateError("Schur complement determinant is not exact")
+    return det
 
 
 def _node_bits(Ai, Bi, D: int) -> int:
@@ -508,10 +483,11 @@ def pencil_charpoly_exact(A, B) -> IntegerPolynomial:
       border, so a banded block costs O(N) integer operations, not O(N^3).
     * **Certificate.**  The digits must agree with a Bareiss determinant
       of the full matrix at ``N + 1``, an evaluation that takes no Schur
-      complement, and be monic of degree ``2N``.
+      complement and is made at most once per call, and be monic of
+      degree ``2N``.
     * **Fallback.**  If the certificate fails, plain Bareiss on the full
-      matrix takes the node value again, checked the same way; only a
-      second failure raises :class:`CertificateError`.
+      matrix takes the node value again, checked against the same
+      certificate; only a second failure raises :class:`CertificateError`.
     """
     A, B = RationalMatrix(A), RationalMatrix(B)
     n = len(A)
@@ -526,22 +502,21 @@ def pencil_charpoly_exact(A, B) -> IntegerPolynomial:
     )
     b = _node_bits(Ai, Bi, D)
     half, mask, scale = 1 << (b - 1), (1 << b) - 1, D**n
-    full = _node_determinant(Ai, Bi, D, n)
-
-    def read_off(det_at) -> IntegerPolynomial:
-        value = det_at(1 << b)
+    certificate = None
+    for k in (_border_width(Ai, Bi), n):  # the Schur node, then plain Bareiss
+        try:
+            value = _node_det(Ai, Bi, D, k, 1 << b)
+        except ArithmeticError:
+            continue
         digits = []
         for _ in range(2 * n + 1):
             digits.append(((value + half) & mask) - half)
             value = (value - digits[-1]) >> b
-        if value or _horner(digits, n + 1) != full(n + 1) or digits[-1] != scale:
-            raise CertificateError("charpoly cross-check failed")
-        return IntegerPolynomial._scaled(digits, scale)
-
-    try:
-        return read_off(_node_determinant(Ai, Bi, D, _border_width(Ai, Bi)))
-    except ArithmeticError:
-        return read_off(full)
+        if certificate is None:
+            certificate = _node_det(Ai, Bi, D, n, n + 1)
+        if not value and _horner(digits, n + 1) == certificate and digits[-1] == scale:
+            return IntegerPolynomial._scaled(digits, scale)
+    raise CertificateError("charpoly cross-check failed")
 
 
 def _root_bound(c: list[int]) -> int:

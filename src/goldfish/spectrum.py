@@ -377,7 +377,7 @@ class C217Result:
     spectrum: tuple[complex, ...]
 
 
-def verify_conjectures(which: str, nu: int, mu, N: int, free_samples=None, tol: float = 1e-6):
+def verify_conjectures(which: str, nu: int, mu, N: int, free_samples=None):
     """Check one conjectured spectral formula on one cell.
 
     ``which = "c215"`` needs an integer ``mu`` (``ValueError`` otherwise),
@@ -390,8 +390,7 @@ def verify_conjectures(which: str, nu: int, mu, N: int, free_samples=None, tol: 
     complement is deliberately not asserted): the exact characteristic
     polynomial is deflated by ``p - v`` for each claimed ``v``, and every
     remainder must be zero.  The numeric spectrum and its matching error
-    are reported as information only, and ``tol`` does not enter the
-    verdict.
+    are reported as information only.
     """
     which = which.lower()
     if which == "c215":

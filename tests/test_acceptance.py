@@ -214,7 +214,7 @@ def test_criterion_6_partial_spectrum_noninteger():
     worst = 0.0
     for mu in (Fraction(1, 2), Fraction(3, 2), Fraction(9, 4)):
         for n in (5, 6):
-            res = verify_conjectures("c217", 0, mu, n, tol=1e-6)
+            res = verify_conjectures("c217", 0, mu, n)
             assert res.contained, (mu, n, res.max_match_error)
             claimed = {complex(x) for x in res.claimed}
             base = {2.0 + 0j, 3.0 + 0j, 4.0 + 0j}

@@ -366,6 +366,15 @@ def test_detect_period_too_short():
         detect_period(traj, "particle", p_max=2, tol=1e-9)
 
 
+def test_detect_period_needs_a_candidate_period():
+    k = 8
+    t = np.arange(2 * k + 1) * (2 * np.pi / k)
+    traj = Trajectory(t, np.ones((t.size, 2), dtype=complex))
+    for p_max in (0, -1):
+        with pytest.raises(ValueError, match="p_max"):
+            detect_period(traj, "particle", p_max=p_max)
+
+
 def test_isochronous_small_system_period():
     rng = np.random.default_rng(14)
     spec = ModelSpec(System.ISOGOLD, 2)

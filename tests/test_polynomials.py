@@ -588,6 +588,22 @@ def _diagonal_pencil(a, b, n=5):
     return tuple([[x * (i == j) for j in range(n)] for i in range(n)] for x in (a, b))
 
 
+@given(_bordered_pencils(), st.integers(-8, 8))
+def test_node_det_agrees_on_every_border_width(pencil, p):
+    """Every border width from the smallest to ``n`` gives the same
+    determinant at an integer ``p`` where no diagonal quadratic vanishes,
+    and ``k = n`` (plain Bareiss) is ``D^N`` times the charpoly there."""
+    A, B = pencil
+    Ai, Bi, D = _scaled(A, B)
+    while not all(_diagonal_quadratics(Ai, Bi, D, p)):
+        p += 1  # each quadratic has at most two roots
+    n = len(A)
+    full = polynomials._node_det(Ai, Bi, D, n, p)
+    assert full == oracles.charpoly(A, B)(p) * D**n
+    for k in range(polynomials._border_width(Ai, Bi), n + 1):
+        assert polynomials._node_det(Ai, Bi, D, k, p) == full, k
+
+
 @given(st.one_of(_rational_pencils(), _bordered_pencils()))
 @example(_diagonal_pencil(0, -36))  # |B| alone: roots +-6
 @example(_diagonal_pencil(-6, 0))  # |A| alone: roots 0 and 6
@@ -619,15 +635,14 @@ def test_node_bits_near_the_coefficients_on_the_grid():
 
 
 def _skew_nodes(mp, bad):
-    """Patch the node evaluators so that ``det_at(p)`` of border width
-    ``k`` is off by one wherever ``bad(k, p)`` holds."""
-    make = polynomials._node_determinant
-
-    def skewed(Ai, Bi, D, k):
-        det_at = make(Ai, Bi, D, k)
-        return lambda p: det_at(p) + (1 if bad(k, p) else 0)
-
-    mp.setattr(polynomials, "_node_determinant", skewed)
+    """Patch the node evaluator so that a determinant of border width ``k``
+    at ``p`` is off by one wherever ``bad(k, p)`` holds."""
+    node_det = polynomials._node_det
+    mp.setattr(
+        polynomials,
+        "_node_det",
+        lambda Ai, Bi, D, k, p: node_det(Ai, Bi, D, k, p) + (1 if bad(k, p) else 0),
+    )
 
 
 def _grid_pencil():
@@ -648,8 +663,8 @@ def test_pencil_charpoly_falls_back_on_a_wrong_node():
         _skew_nodes(mp, lambda k, p: k < n)
         sizes = _count_bareiss(mp)
         assert pencil_charpoly_exact(pen.A, pen.B) == expect
-    # the certificate at N + 1, then the fallback node and its own certificate
-    assert sizes.count(n) == 3
+    # the certificate at N + 1, taken once, and the fallback node
+    assert sizes.count(n) == 2
     with pytest.MonkeyPatch.context() as mp:
         # a border determinant off by one leaves a remainder in det(dk S) / dk^(k-1)
         sizes = _count_bareiss(mp, lambda size: size < n)

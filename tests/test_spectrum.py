@@ -319,7 +319,7 @@ def test_nu5_charpoly_independent_of_free_constant():
 
 
 def test_c217_half_integer_cell():
-    res = verify_conjectures("c217", 0, Fraction(1, 2), 5, tol=1e-6)
+    res = verify_conjectures("c217", 0, Fraction(1, 2), 5)
     assert res.contained
     assert multiset_dev(
         [complex(x) for x in res.claimed], [2.0, 3.0, 4.0, 4.5]
@@ -329,7 +329,7 @@ def test_c217_half_integer_cell():
 def test_c217_rational_cells():
     for mu in (Fraction(1, 2), Fraction(3, 2), Fraction(9, 4)):
         for n in (5, 6):
-            res = verify_conjectures("c217", 0, mu, n, tol=1e-6)
+            res = verify_conjectures("c217", 0, mu, n)
             assert res.contained, (mu, n)
 
 
