@@ -13,7 +13,6 @@ its certificate, or an ``ArithmeticError``), 2 usage or validation error
 (an output path that cannot be written included; a path whose directory
 is missing is refused before any work starts).  Past argument parsing,
 each failure is one stderr line.
-``GOLDFISH_THREADS`` caps the sweep worker pool.
 """
 
 from __future__ import annotations
@@ -66,9 +65,6 @@ def _parse_phi(text: str) -> tuple[complex, ...]:
 def _thread_count(requested: int | None) -> int:
     if requested is not None:
         return max(1, requested)
-    env = os.environ.get("GOLDFISH_THREADS")
-    if env:
-        return max(1, int(env))
     return min(8, os.cpu_count() or 1)
 
 
@@ -611,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--free", help="comma list of free-constant samples")
-    p.add_argument("--threads", type=int, help="worker cap (or GOLDFISH_THREADS)")
+    p.add_argument("--threads", type=int, help="worker cap")
     p.add_argument("--perturb", help="negative control 'nu,mu,N[:delta]'")
     p.add_argument("--timing", action="store_true", help="include wall-clock in the report")
     p.add_argument("--csv", help="pass/fail matrix CSV path")

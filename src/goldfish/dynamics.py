@@ -708,12 +708,11 @@ class PeriodReport:
 def detect_period(
     traj: Trajectory,
     kind: str,
-    base_period: float = 2 * np.pi,
     p_max: int = 1,
     tol: float = 1e-6,
 ) -> PeriodReport:
     """Smallest ``p <= p_max`` with ``state(t + p T) = state(t)`` over one
-    base period ``T``, within ``tol``.
+    base period ``T = 2 pi``, within ``tol``.
 
     Both kinds compare componentwise: direct trajectories and tracked
     spectral branches carry coherent labels, and complete periodicity
@@ -733,8 +732,8 @@ def detect_period(
     dt = times[1] - times[0]
     if np.max(np.abs(np.diff(times) - dt)) > 1e-9 * max(1.0, abs(dt)):
         raise ValueError("period detection requires uniform sampling")
-    k = int(round(base_period / dt))
-    if k < 2 or abs(k * dt - base_period) > 1e-8 * base_period:
+    k = int(round(2 * np.pi / dt))
+    if k < 2 or abs(k * dt - 2 * np.pi) > 1e-8 * 2 * np.pi:
         raise ValueError("sampling grid does not divide the base period")
     half = traj.dim // 2
 

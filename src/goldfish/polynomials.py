@@ -114,7 +114,7 @@ def from_roots(roots, conv: CoefficientConvention = PLAIN) -> MonicPolynomial:
     return MonicPolynomial(conv.strip(plain), conv)
 
 
-def find_roots(poly: MonicPolynomial, tol: float = 1e-12, max_iter: int = 500) -> np.ndarray:
+def find_roots(poly: MonicPolynomial, tol: float = 1e-12) -> np.ndarray:
     """All zeros via Aberth-Ehrlich simultaneous iteration.
 
     Initial guesses sit on a circle of radius ``1 + max|c_m|`` with an
@@ -137,7 +137,7 @@ def find_roots(poly: MonicPolynomial, tol: float = 1e-12, max_iter: int = 500) -
     dcoef_up = c_up[1:] * np.arange(1, n + 1)
 
     target = tol * (1.0 + cnorm)
-    for _ in range(max_iter):
+    for _ in range(500):
         p = _horner(c_up, z)
         if np.all(np.abs(p) <= target):
             return z
@@ -153,7 +153,7 @@ def find_roots(poly: MonicPolynomial, tol: float = 1e-12, max_iter: int = 500) -
         # looser residuals rather than failing on a legitimate cluster
         return z
     raise RootFindingError(
-        f"root iteration did not converge within {max_iter} iterations "
+        "root iteration did not converge within 500 iterations "
         f"(max residual {float(np.max(np.abs(p))):.3e})"
     )
 
@@ -275,9 +275,8 @@ class RationalMatrix:
     Held as integer ``numerators`` (a tuple of rows) over one positive
     ``denominator``, in lowest terms.  ``RationalMatrix(rows)`` takes nested
     ints or Fractions, and returns an equal copy of a ``RationalMatrix``;
-    :attr:`rows` is the same matrix as a tuple of ``Fraction`` rows (a cached
-    view), and ``len``, indexing and iteration read it.  Equality and
-    hashing compare the integers, which is equality of the entries.
+    ``len`` is the number of rows.  Equality and hashing compare the
+    integers, which is equality of the entries.
     """
 
     numerators: tuple[tuple[int, ...], ...]
@@ -306,19 +305,8 @@ class RationalMatrix:
         object.__setattr__(self, "numerators", tuple(map(tuple, rows)))
         object.__setattr__(self, "denominator", den)
 
-    @functools.cached_property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        den = self.denominator
-        return tuple(tuple(Fraction(a, den) for a in row) for row in self.numerators)
-
     def __len__(self) -> int:
         return len(self.numerators)
-
-    def __getitem__(self, i) -> tuple[Fraction, ...]:
-        return self.rows[i]
-
-    def __iter__(self):
-        return iter(self.rows)
 
 
 def _horner(coeffs, x):

@@ -117,8 +117,9 @@ _PALETTE = (
 )
 
 
-def write_trajectory_svg(values, path=None, size=640):
-    """Static complex-plane plot: one polyline per column of ``values``."""
+def write_trajectory_svg(values, path=None):
+    """Static complex-plane plot, 640 pixels square: one polyline per column of ``values``."""
+    size = 640
     values = np.asarray(values, dtype=complex)
     xs, ys = values.real, values.imag
     x0, x1 = float(xs.min()), float(xs.max())

@@ -59,8 +59,7 @@ class QuadraticPencil:
 
     Each matrix is a :class:`~goldfish.polynomials.RationalMatrix`, integer
     rows over one denominator; ``QuadraticPencil(A, B)`` also takes nested
-    rationals and normalises them.  The exact route reads the integers, and
-    only the numeric solver reads the ``Fraction`` rows.
+    rationals and normalises them.  Every route reads the integers.
     """
 
     A: RationalMatrix
@@ -196,11 +195,12 @@ def solve_pencil_numeric(pencil: QuadraticPencil) -> np.ndarray:
     """All ``2N`` pencil eigenvalues via companion linearisation.
 
     With ``s = p r`` the quadratic problem is the ordinary eigenvalue
-    problem of the block matrix ``[[0, I], [-B, -A]]``.
+    problem of the block matrix ``[[0, I], [-B, -A]]``, each entry the
+    correctly rounded ``numerator / denominator``.
     """
     N = pencil.N
-    A = np.array([[float(x) for x in row] for row in pencil.A])
-    B = np.array([[float(x) for x in row] for row in pencil.B])
+    A = np.array([[a / pencil.A.denominator for a in row] for row in pencil.A.numerators])
+    B = np.array([[b / pencil.B.denominator for b in row] for row in pencil.B.numerators])
     comp = np.block([[np.zeros((N, N)), np.eye(N)], [-B, -A]])
     return eigenvalues(comp)
 
@@ -415,7 +415,8 @@ def verify_conjectures(which: str, nu: int, mu, N: int, free_samples=None):
         mu = Fraction(mu)
         claimed = conjecture_217_claim(nu, mu, N)
         _, pencil, poly = next(_cell_pencils(nu, mu, N, free_samples))
-        rest, contained = poly.coeffs, True
+        # the numerators are poly times its denominator: same remainders up to that factor
+        rest, contained = poly.numerators, True
         for value in claimed:
             rest, remainder = _deflate(rest, value)
             if remainder:

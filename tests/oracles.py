@@ -57,7 +57,7 @@ from goldfish.linalg import (
     eigenvalues,
 )
 from goldfish.equilibria import Family, RecursionSolution, solve_phi_recursion
-from goldfish.polynomials import IntegerPolynomial
+from goldfish.polynomials import IntegerPolynomial, RationalMatrix
 from goldfish.spectrum import QuadraticPencil
 
 
@@ -425,11 +425,18 @@ def lagrange_interpolate(points, values, degree: int) -> IntegerPolynomial:
     return IntegerPolynomial(tuple(acc))
 
 
+def fraction_rows(M) -> list[list[Fraction]]:
+    """The entries of ``M`` as ``Fraction`` rows: a ``RationalMatrix`` read
+    through its ``numerators`` over its ``denominator``, or nested rationals."""
+    if isinstance(M, RationalMatrix):
+        return [[Fraction(a, M.denominator) for a in row] for row in M.numerators]
+    return [list(map(Fraction, row)) for row in M]
+
+
 def charpoly(A, B) -> IntegerPolynomial:
     """``det(p^2 I + p A + B)``: a ``Fraction`` matrix per node ``-N..N``,
     each determinant by :func:`bareiss_det`, then :func:`lagrange_interpolate`."""
-    A = [list(map(Fraction, row)) for row in A]
-    B = [list(map(Fraction, row)) for row in B]
+    A, B = fraction_rows(A), fraction_rows(B)
     n = len(A)
 
     def det_at(p: int) -> Fraction:

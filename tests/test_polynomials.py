@@ -502,7 +502,7 @@ def test_rational_matrix_round_trip_and_kernel_inputs(pencil):
     A, B = pencil
     for rows in (A, B):
         M = RationalMatrix(rows)
-        assert M.rows == tuple(map(tuple, rows)) and RationalMatrix(M) == M
+        assert oracles.fraction_rows(M) == rows and RationalMatrix(M) == M
         assert M.denominator > 0 and math.gcd(M.denominator, *sum(M.numerators, ())) == 1
     # a factor 49 in the denominator, which no entry of A has
     B = [[x / 7 for x in row] for row in B]
@@ -576,7 +576,8 @@ def test_pencil_charpoly_bordered_equals_oracle(pencil):
 def _scaled(A, B):
     """``(Ai, Bi, D)``: the pencil scaled to integers by the lcm ``D`` of its
     denominators, as the kernel scales it."""
-    D = math.lcm(*(Fraction(x).denominator for row in [*A, *B] for x in row))
+    A, B = oracles.fraction_rows(A), oracles.fraction_rows(B)
+    D = math.lcm(*(x.denominator for row in [*A, *B] for x in row))
     return [[int(x * D) for x in row] for row in A], [[int(x * D) for x in row] for row in B], D
 
 

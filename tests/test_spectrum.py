@@ -8,8 +8,14 @@ from scipy.optimize import linear_sum_assignment
 
 import oracles
 from goldfish import polynomials, spectrum
+from goldfish.cli import main
 from goldfish.equilibria import cbar_closed_form, expand_iso_psi
-from goldfish.polynomials import IntegerPolynomial, integer_roots, pencil_charpoly_exact
+from goldfish.polynomials import (
+    IntegerPolynomial,
+    RationalMatrix,
+    integer_roots,
+    pencil_charpoly_exact,
+)
 from goldfish.spectrum import (
     DEFAULT_NU5_SAMPLES,
     build_pencil,
@@ -33,19 +39,19 @@ def multiset_dev(a, b):
 
 def test_pencil_ladder_cell():
     pen = build_pencil([Fraction(0), Fraction(0)])
-    assert pen.A.rows == ((Fraction(-3), Fraction(0)), (Fraction(0), Fraction(-5)))
-    assert pen.B.rows == ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(6)))
+    assert pen.A == RationalMatrix([[-3, 0], [0, -5]])
+    assert pen.B == RationalMatrix([[2, 0], [0, 6]])
 
 
 def test_pencil_hand_cell():
     pen = build_pencil(cbar_closed_form(0, 1, 2))
-    assert pen.A.rows == ((Fraction(-3), Fraction(0)), (Fraction(0), Fraction(-3)))
-    assert pen.B.rows == ((Fraction(-4), Fraction(-6)), (Fraction(0), Fraction(2)))
+    assert pen.A == RationalMatrix([[-3, 0], [0, -3]])
+    assert pen.B == RationalMatrix([[-4, -6], [0, 2]])
 
 
 def test_pencil_single_row():
     pen = build_pencil([Fraction(0)])
-    assert pen.A.rows == ((Fraction(-3),),) and pen.B.rows == ((Fraction(2),),)
+    assert pen.A == RationalMatrix([[-3]]) and pen.B == RationalMatrix([[2]])
 
 
 def test_pencil_triangular_at_trivial_equilibrium():
@@ -53,7 +59,7 @@ def test_pencil_triangular_at_trivial_equilibrium():
         pen = build_pencil([Fraction(0)] * n)
         for i in range(n):
             for j in range(i):
-                assert pen.A[i][j] == 0 and pen.B[i][j] == 0
+                assert pen.A.numerators[i][j] == 0 and pen.B.numerators[i][j] == 0
 
 
 def _grid_cbars(ns=range(1, 11)):
@@ -151,7 +157,7 @@ def test_schur_route_certifies_every_grid_pencil(monkeypatch):
     ]
     widths = set()
     for pen in pencils:
-        k = polynomials._border_width(pen.A, pen.B)
+        k = polynomials._border_width(pen.A.numerators, pen.B.numerators)
         widths.add(k)
         sizes.clear()
         pencil_charpoly_exact(pen.A, pen.B)
@@ -159,26 +165,27 @@ def test_schur_route_certifies_every_grid_pencil(monkeypatch):
     assert widths == {0, 1, 2}
 
 
-def test_exact_route_reads_no_fraction_view(monkeypatch):
-    """Building a grid pencil, its charpoly, the integrality verdict and the
-    c215 comparison read only the integer rows: no pencil's cached
-    ``Fraction`` view is ever built."""
+def test_exact_routes_build_no_fraction_coefficients(monkeypatch, capsys):
+    """The integrality verdict, the c215 comparison, the c217 containment
+    check and ``spectrum --numeric`` read only the integer numerators: no
+    exact polynomial's cached ``Fraction`` view is ever built."""
     built = []
-    build = spectrum.build_pencil
+    set_poly = IntegerPolynomial._set
 
-    def recorded(cbar):
-        built.append(build(cbar))
-        return built[-1]
+    def recorded(poly, nums, den):
+        set_poly(poly, nums, den)
+        built.append(poly)
 
-    monkeypatch.setattr(spectrum, "build_pencil", recorded)
+    monkeypatch.setattr(IntegerPolynomial, "_set", recorded)
     assert verify_integrality(3, 5, 10).all_integers
     assert not verify_conjectures("c215", 3, 5, 10).match
     assert verify_conjectures("c215", 5, 6, 8).match
-    pen = build_pencil(cbar_closed_form(4, 6, 9))
-    pencil_charpoly_exact(pen.A, pen.B)
-    assert len(built) == 1 + 1 + len(DEFAULT_NU5_SAMPLES)
-    for pen in built + [pen]:
-        assert "rows" not in vars(pen.A) and "rows" not in vars(pen.B)
+    assert verify_conjectures("c217", 0, Fraction(1, 2), 6).contained
+    assert main(["spectrum", "--nu", "0", "--mu", "1/2", "--n", "4", "--numeric"]) == 1
+    assert "numeric_eigenvalues" in capsys.readouterr().out
+    assert built
+    for poly in built:
+        assert "coeffs" not in vars(poly), poly
 
 
 def test_numeric_solver_reads_every_entry_as_its_float(monkeypatch):
@@ -214,8 +221,8 @@ def test_numeric_hand_cell():
 def test_numeric_zero_pencil():
     pen = build_pencil([Fraction(0)] * 2)
     zero = type(pen)(
-        tuple(tuple(Fraction(0) for _ in row) for row in pen.A),
-        tuple(tuple(Fraction(0) for _ in row) for row in pen.B),
+        tuple(tuple(Fraction(0) for _ in row) for row in pen.A.numerators),
+        tuple(tuple(Fraction(0) for _ in row) for row in pen.B.numerators),
     )
     eigs = solve_pencil_numeric(zero)
     assert np.max(np.abs(eigs)) < 1e-12
@@ -239,8 +246,8 @@ def test_linearized_apply_matches_pencil():
     for n in (1, 2, 4, 6):
         cb = [Fraction(x) for x in rng.integers(-3, 4, n)]
         pen = build_pencil(cb)
-        A = np.array([[float(x) for x in row] for row in pen.A], dtype=complex)
-        B = np.array([[float(x) for x in row] for row in pen.B], dtype=complex)
+        A = np.array(pen.A.numerators, dtype=complex) / pen.A.denominator
+        B = np.array(pen.B.numerators, dtype=complex) / pen.B.denominator
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         p = complex(rng.standard_normal() + 1j * rng.standard_normal())
         direct = oracles.linearized_apply(cb, r, p)
@@ -276,6 +283,53 @@ def test_integrality_free_constant_samples():
     rep = verify_integrality(5, 5, 6)
     assert len(rep.samples) == len(DEFAULT_NU5_SAMPLES)
     assert rep.all_integers
+
+
+def test_rows_past_mu_split_off_as_diagonal_quadratics():
+    """Lemma A: at integer ``nu <= mu < N``, with ``M_N(p) = p^2 I + p A + B``
+    the pencil of the ``(nu, mu, N)`` cell and ``c_i = cbar_i`` of that cell,
+    ``det M_N = det M_mu * prod_(m = mu+1..N) q_m``, where ``M_mu`` is the
+    square cell's pencil (``det M_0 = 1``) and
+    ``q_m(p) = p^2 - (2m + 1 + 2c_1) p + m(m + 1) + 2(m - 1) c_1 - 2c_1^2 + 6c_2``.
+    Checked here for every ``N <= 20``, the ``nu = 5`` default constants
+    included.
+
+    Proof.  ``cbar_1..cbar_N`` are the coefficients of
+    ``phi(x) (1 - x)^(mu - nu)``, a polynomial of degree ``mu``, so
+    ``cbar_m = 0`` for ``m > mu``, and ``w = 0`` at an equilibrium.  Row
+    ``m`` of the pencil is the linearisation of bracket row ``m``
+    (``dynamics._iso_bracket``): ``A`` holds its ``w`` derivatives and
+    ``-B`` its ``c`` derivatives.  That row reads ``c_m``, ``c_(m+1)``,
+    ``c_(m+2)``, ``w_m`` and ``w_(m+1)``, all on or right of the
+    diagonal, and reaches ``c_1``, ``c_2`` and ``w_1`` only through
+    products with ``C_m``, ``C_(m+1)`` or ``W_m``.  For ``m > mu`` those
+    three are zero at the equilibrium, so rows ``m > mu`` of ``A`` and
+    ``B`` vanish left of the diagonal, and ``M_N`` is block upper
+    triangular: a leading ``mu x mu`` block, then one diagonal entry per
+    row ``m > mu``.  That entry is ``p^2 + A_mm p + B_mm = q_m(p)``, read off
+    the ``W_m`` and ``C_m`` terms.  The leading block is ``M_mu``: the
+    bracket has no ``N`` in it, both cells share ``cbar_1..cbar_mu``, and
+    the ``cbar_(mu+1)``, ``cbar_(mu+2)`` that rows ``mu - 1`` and ``mu`` read
+    are zero in the larger cell and padded as zero in the square one.  The
+    determinant of a block upper triangular matrix is the product of its
+    diagonal blocks' determinants.
+    """
+    for nu in (0, 1, 3, 4, 5):
+        for c in DEFAULT_NU5_SAMPLES if nu == 5 else (Fraction(0),):
+            for mu in range(nu, 20):
+                if mu:
+                    square = build_pencil(cbar_closed_form(nu, mu, mu, c))
+                    expect = pencil_charpoly_exact(square.A, square.B)
+                else:
+                    expect = IntegerPolynomial([1])
+                for m in range(mu + 1, 21):  # the cell of size N = m adds row m
+                    cbar = cbar_closed_form(nu, mu, m, c)
+                    c1, c2 = (*cbar, 0)[:2]
+                    b_mm = m * (m + 1) + 2 * (m - 1) * c1 - 2 * c1**2 + 6 * c2
+                    q_m = IntegerPolynomial([b_mm, -(2 * m + 1 + 2 * c1), 1])
+                    expect = oracles.poly_mul(expect, q_m)
+                    pen = build_pencil(cbar)
+                    assert pencil_charpoly_exact(pen.A, pen.B) == expect, (nu, mu, m, c)
 
 
 # ---------------------------------------------------------------------------
