@@ -309,6 +309,19 @@ class RationalMatrix:
         return len(self.numerators)
 
 
+def _pencil_size(A: RationalMatrix, B: RationalMatrix) -> int:
+    """The common size ``n`` of the square matrices ``A`` and ``B``; any
+    other pair is a ``ValueError`` that names both shapes."""
+    n = len(A)
+    if len(B) != n or any(len(row) != n for row in A.numerators + B.numerators):
+        a, b = (
+            f"{len(M)}x{'/'.join(map(str, sorted({len(row) for row in M.numerators}))) or 0}"
+            for M in (A, B)
+        )
+        raise ValueError(f"A and B must be square matrices of equal size, got {a} and {b}")
+    return n
+
+
 def _horner(coeffs, x):
     """``sum_k coeffs[k] x^k`` (ascending ``coeffs``) by Horner's rule.
 
@@ -478,9 +491,7 @@ def pencil_charpoly_exact(A, B) -> IntegerPolynomial:
       certificate; only a second failure raises :class:`CertificateError`.
     """
     A, B = RationalMatrix(A), RationalMatrix(B)
-    n = len(A)
-    if len(B) != n or any(len(r) != n for r in A.numerators + B.numerators):
-        raise ValueError("A and B must be square matrices of equal size")
+    n = _pencil_size(A, B)
     D = math.lcm(A.denominator, B.denominator)
     Ai, Bi = (
         M.numerators  # every grid pencil: one denominator, D = 1

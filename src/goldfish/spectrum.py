@@ -29,6 +29,8 @@ from .polynomials import (
     IntegerPolynomial,
     RationalMatrix,
     _deflate,
+    _pencil_size,
+    _ratio,
     integer_roots,
     pencil_charpoly_exact,
 )
@@ -59,25 +61,22 @@ class QuadraticPencil:
 
     Each matrix is a :class:`~goldfish.polynomials.RationalMatrix`, integer
     rows over one denominator; ``QuadraticPencil(A, B)`` also takes nested
-    rationals and normalises them.  Every route reads the integers.
+    rationals and normalises them.  Every route reads the integers.  Two
+    matrices that are not square of one size are a ``ValueError``.
     """
 
     A: RationalMatrix
     B: RationalMatrix
 
     def __post_init__(self):
-        object.__setattr__(self, "A", RationalMatrix(self.A))
-        object.__setattr__(self, "B", RationalMatrix(self.B))
+        A, B = RationalMatrix(self.A), RationalMatrix(self.B)
+        _pencil_size(A, B)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
 
     @property
     def N(self) -> int:
         return len(self.A)
-
-
-def _as_cbar(config_or_cbar) -> tuple[Fraction, ...]:
-    if isinstance(config_or_cbar, EquilibriumConfig):
-        return tuple(Fraction(x) for x in config_or_cbar.cbar)
-    return tuple(Fraction(x) for x in config_or_cbar)
 
 
 def _collect(pairs) -> dict:
@@ -164,15 +163,18 @@ def build_pencil(config_or_cbar) -> QuadraticPencil:
     per-``N`` template of integer polynomials in ``cbar``, differentiated
     symbolically from :func:`_iso_bracket`, evaluated on the integers
     ``x = d cbar`` (``d`` the common denominator) into integer rows over
-    ``d^degree``, reduced once; no entry becomes a ``Fraction``.
+    ``d^degree``, reduced once; no entry becomes a ``Fraction``.  A
+    ``cbar`` entry that is not a finite rational is a ``ValueError``.
     """
-    cb = _as_cbar(config_or_cbar)
+    if isinstance(config_or_cbar, EquilibriumConfig):
+        config_or_cbar = config_or_cbar.cbar
+    cb = [_ratio(v) for v in config_or_cbar]
     N = len(cb)
     if N < 1:
         raise ValueError("need at least one coefficient")
     A_entries, B_entries, degree = _pencil_template(N)
-    d = math.lcm(*(v.denominator for v in cb))
-    x = [v.numerator * (d // v.denominator) for v in cb]
+    d = math.lcm(*(q for _, q in cb))
+    x = [a * (d // q) for a, q in cb]
     scale = [d ** (degree - k) for k in range(degree + 1)]
     den = d ** degree
 
@@ -233,15 +235,101 @@ def _nu5_samples(nu: int, free_samples):
     return tuple(Fraction(c) for c in (free_samples or DEFAULT_NU5_SAMPLES))
 
 
+def _times(c, q) -> list:
+    """Ascending coefficients of the product of ``c`` and ``q``, a
+    polynomial of degree at most two, both ascending."""
+    b, a, d = (*q, 0, 0)[:3]
+    out = [d * x + a * y + b * z for x, y, z in zip([0, 0, *c], [0, *c, 0], [*c, 0, 0])]
+    return out[: len(c) + len(q) - 1]
+
+
+def _leading_size(Ai, Bi) -> int:
+    """The first row ``s`` from which every row of ``Ai`` and ``Bi`` is zero
+    left of the diagonal; ``0`` when both are upper triangular."""
+    for i in reversed(range(1, len(Ai))):
+        if any(Ai[i][:i]) or any(Bi[i][:i]):
+            return i + 1
+    return 0
+
+
+def _split_charpoly(pencil: QuadraticPencil):
+    """The exact charpoly of ``pencil`` and the two factors it is built
+    from: ``(charpoly, leading charpoly, tail)``.
+
+    Past row ``s`` (:func:`_leading_size`, read off the integers) every row
+    of ``M(p) = p^2 I + p A + B`` is zero left of the diagonal, so ``M`` is
+    block upper triangular and
+    ``det M = det M[:s, :s] * prod_(j >= s) q_j(p) / D``, with ``D`` the lcm
+    of the two denominators and ``q_j = D p^2 + A_jj p + B_jj`` on the
+    matrices scaled by ``D``.  :func:`pencil_charpoly_exact` runs on the
+    leading ``s x s`` block only (the whole pencil when ``s = N``); the
+    tail is the list of the ``q_j``, ascending integer triples
+    ``(B_jj, A_jj, D)``.
+    """
+    A, B, n = pencil.A, pencil.B, pencil.N
+    s = _leading_size(A.numerators, B.numerators)
+    D = math.lcm(A.denominator, B.denominator)
+    tail = [
+        (B.numerators[j][j] * (D // B.denominator), A.numerators[j][j] * (D // A.denominator), D)
+        for j in range(s, n)
+    ]
+    if tail:
+        A, B = (
+            RationalMatrix._scaled([row[:s] for row in M.numerators[:s]], M.denominator)
+            for M in (A, B)
+        )
+    lead = pencil_charpoly_exact(A, B)
+    if not tail:
+        return lead, lead, tail
+    nums = lead.numerators
+    for q in tail:
+        nums = _times(nums, q)
+    return IntegerPolynomial._scaled(nums, lead.denominator * D ** len(tail)), lead, tail
+
+
+def _split_roots(poly: IntegerPolynomial, lead: IntegerPolynomial, tail):
+    """:func:`integer_roots` of the charpoly ``poly = lead * prod q_j / D``,
+    as :func:`_split_charpoly` returned it: the roots sorted with
+    multiplicity, and the remainder in lowest terms.
+
+    Only ``lead`` is scanned.  A tail quadratic ``D p^2 + a p + b`` has an
+    integer root only at ``(-a +- r) / (2D)`` with ``r^2 = a^2 - 4Db``;
+    each such root is deflated off it, and what is left over, unless it is
+    the constant ``D``, is multiplied into the remainder.  With no root at
+    all the remainder is ``poly`` itself.
+    """
+    roots, rem = integer_roots(lead)
+    if not tail:
+        return roots, rem
+    rest = []
+    for b, a, d in tail:
+        q, disc = [b, a, d], a * a - 4 * d * b
+        r = math.isqrt(max(disc, 0))
+        if r * r == disc:
+            for x in (-a - r, -a + r):
+                if x % (2 * d) == 0:
+                    roots.append(x // (2 * d))
+                    q, _ = _deflate(q, roots[-1])
+        if len(q) > 1:
+            rest.append(q)
+    if not roots:
+        return roots, poly
+    nums, den = rem.numerators, rem.denominator
+    for q in rest:
+        nums, den = _times(nums, q), den * q[-1]  # each q leads with D
+    return sorted(roots), IntegerPolynomial._scaled(nums, den)
+
+
 def _cell_pencils(nu: int, mu, N: int, free_samples, perturb_c1=Fraction(0)):
-    """Yield ``(free constant, pencil, exact charpoly)`` for each sample of
-    one cell, with ``c_1`` shifted by ``perturb_c1`` (the negative control)."""
+    """Yield ``(free constant, pencil, exact charpoly, leading charpoly,
+    tail)`` (:func:`_split_charpoly`) for each sample of one cell, with
+    ``c_1`` shifted by ``perturb_c1`` (the negative control)."""
     for cval in _nu5_samples(nu, free_samples):
         cb = list(cbar_closed_form(nu, mu, N, cval))
         if cb:  # build_pencil rejects the empty one
             cb[0] += Fraction(perturb_c1)
         pencil = build_pencil(cb)
-        yield cval, pencil, pencil_charpoly_exact(pencil.A, pencil.B)
+        yield cval, pencil, *_split_charpoly(pencil)
 
 
 def verify_integrality(
@@ -258,11 +346,20 @@ def verify_integrality(
     cell passes when the ``2N`` integer roots exhaust the polynomial
     (remainder one).  ``perturb_c1`` shifts the first coefficient and
     serves as a negative control.
+
+    The exact kernel and the integer-root scan run on the leading
+    ``s x s`` block only (:func:`_split_charpoly`, :func:`_split_roots`):
+    rows past it are zero left of the diagonal, and each gives a
+    quadratic factor whose integer roots its discriminant decides.  At
+    integer ``mu``, ``s <= mu``, since ``cbar_m = 0`` for ``m > mu``
+    decouples row ``m`` from ``c_1``, ``c_2`` and ``w_1``; ``s`` is read
+    off the pencil's integers, so a shifted ``c_1`` or a rational ``mu``
+    splits only as far as the zeros reach.
     """
     samples = []
     ok = True
-    for cval, pencil, poly in _cell_pencils(nu, mu, N, free_samples, perturb_c1):
-        roots, rem = integer_roots(poly)
+    for cval, pencil, poly, lead, tail in _cell_pencils(nu, mu, N, free_samples, perturb_c1):
+        roots, rem = _split_roots(poly, lead, tail)
         all_int = len(roots) == 2 * N and rem.numerators == (1,) and rem.denominator == 1
         ok = ok and all_int
         samples.append(PencilSample(cval, poly, tuple(roots), rem, all_int, pencil))
@@ -401,7 +498,7 @@ def verify_conjectures(which: str, nu: int, mu, N: int, free_samples=None):
         product = conjecture_215_product(nu, mu, N)
         counterexamples = []
         charpoly = None
-        for cval, _, poly in _cell_pencils(nu, mu, N, free_samples):
+        for cval, _, poly, *_ in _cell_pencils(nu, mu, N, free_samples):
             if charpoly is None:
                 charpoly = poly
             if poly != product:
@@ -414,7 +511,7 @@ def verify_conjectures(which: str, nu: int, mu, N: int, free_samples=None):
     if which == "c217":
         mu = Fraction(mu)
         claimed = conjecture_217_claim(nu, mu, N)
-        _, pencil, poly = next(_cell_pencils(nu, mu, N, free_samples))
+        _, pencil, poly, *_ = next(_cell_pencils(nu, mu, N, free_samples))
         # the numerators are poly times its denominator: same remainders up to that factor
         rest, contained = poly.numerators, True
         for value in claimed:

@@ -8,9 +8,9 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
-from goldfish import polynomials
+from goldfish import polynomials, spectrum
 from goldfish.equilibria import ISO_NU_VALUES, cbar_closed_form
-from goldfish.spectrum import build_pencil
+from goldfish.spectrum import QuadraticPencil, build_pencil
 from goldfish.polynomials import (
     IntegerPolynomial,
     MonicPolynomial,
@@ -571,6 +571,74 @@ def test_pencil_charpoly_bordered_equals_oracle(pencil):
         poly = pencil_charpoly_exact(A, B)
     assert poly == oracles.charpoly(A, B)
     assert sizes.count(len(A)) == 1
+
+
+@st.composite
+def _block_triangular_pencils(draw):
+    """Pencils of entries ``k / D`` (``D`` in {1, 2, 6}) whose rows from a
+    drawn ``s`` on are zero left of the diagonal.  Some diagonal quadratics
+    past ``s`` are ``(p - r)(p - t)`` with an integer ``r`` and ``t`` an
+    integer or a multiple of ``1 / D``: two integer roots, a double one, or
+    one integer and one rational root; the others have random coefficients,
+    often a negative or non-square discriminant."""
+    n = draw(st.integers(1, 7))
+    s = draw(st.integers(0, n))
+    D = draw(st.sampled_from((1, 2, 6)))
+    entry = st.integers(-12, 12).map(lambda k: Fraction(k, D))
+    A = [[draw(entry) if i < s or j >= i else 0 for j in range(n)] for i in range(n)]
+    B = [[draw(entry) if i < s or j >= i else 0 for j in range(n)] for i in range(n)]
+    for i in range(s, n):
+        if draw(st.booleans()):
+            r = draw(st.integers(-4, 4))
+            t = Fraction(draw(st.integers(-8, 8)), draw(st.sampled_from((1, D))))
+            A[i][i], B[i][i] = -(r + t), r * t
+    return A, B
+
+
+def _assert_split_route_is_the_full_scan(A, B):
+    """The integrality route's charpoly, roots and remainder, built from the
+    leading block and the tail quadratics, are those of the full pencil."""
+    full = pencil_charpoly_exact(A, B)
+    split = spectrum._split_charpoly(QuadraticPencil(A, B))
+    assert split[0] == full
+    assert spectrum._split_roots(*split) == integer_roots(full)
+    return split
+
+
+@given(_block_triangular_pencils())
+def test_split_integrality_route_equals_the_full_scan(pencil):
+    _assert_split_route_is_the_full_scan(*pencil)
+
+
+_LADDER = build_pencil([0] * 5)  # triangular: p^2 - (2m + 1) p + m(m + 1) on row m
+
+
+@pytest.mark.parametrize(
+    "A, B, s, tail_roots",
+    [
+        (_LADDER.A, _LADDER.B, 0, [1, 2, 2, 3, 3, 4, 4, 5, 5, 6]),
+        ([[1, 2, 0], [3, 4, 1], [1, 0, 2]], [[0, 1, 1], [1, 0, 0], [2, 1, 0]], 3, []),
+        ([[0, 1, 2], [3, 0, 1], [0, 0, -4]], [[1, 0, 0], [2, 1, 0], [0, 0, 4]], 2, [2, 2]),
+        ([[0, 1, 2], [3, 0, 1], [0, 0, 0]], [[1, 0, 0], [2, 1, 0], [0, 0, 1]], 2, []),
+        (
+            [[0, 1, 2], [3, 0, 1], [0, 0, Fraction(-3, 2)]],
+            [[1, 0, 0], [2, 1, 0], [0, 0, Fraction(1, 2)]],
+            2,
+            [1],
+        ),
+    ],
+    ids=["triangular", "dense", "double-root", "negative-discriminant", "one-integer-root"],
+)
+def test_split_integrality_route_on_hand_pencils(A, B, s, tail_roots):
+    """The leading block has size ``s``: none for a triangular pencil, the
+    whole pencil for a dense one.  A tail quadratic gives its integer roots
+    with multiplicity (``(p - 2)^2``), none (``p^2 + 1``), or one of two
+    (``2p^2 - 3p + 1``, roots 1 and 1/2, whose cofactor goes into the
+    remainder)."""
+    poly, lead, tail = _assert_split_route_is_the_full_scan(A, B)
+    assert (lead.degree, len(tail)) == (2 * s, len(A) - s)
+    roots = Counter(spectrum._split_roots(poly, lead, tail)[0])
+    assert roots - Counter(integer_roots(lead)[0]) == Counter(tail_roots)
 
 
 def _scaled(A, B):

@@ -54,6 +54,26 @@ def test_pencil_single_row():
     assert pen.A == RationalMatrix([[-3]]) and pen.B == RationalMatrix([[2]])
 
 
+def test_pencil_shapes_are_checked():
+    """Matrices that are not square of one size are refused when the pencil
+    is made, with both shapes in the message."""
+    for A, B, shapes in (
+        ([[1]], [[1], [2]], "1x1 and 2x1"),
+        ([[1, 2]], [[1]], "1x2 and 1x1"),
+        ([[1, 2], [3]], [[1, 0], [0, 1]], "2x1/2 and 2x2"),
+    ):
+        with pytest.raises(ValueError, match=shapes):
+            spectrum.QuadraticPencil(A, B)
+        with pytest.raises(ValueError, match=shapes):
+            pencil_charpoly_exact(A, B)
+
+
+@pytest.mark.parametrize("bad", [1j, float("inf"), float("nan"), None, "x"])
+def test_pencil_refuses_cbar_entries_that_are_not_finite_rationals(bad):
+    with pytest.raises(ValueError):
+        build_pencil([Fraction(1, 2), bad])
+
+
 def test_pencil_triangular_at_trivial_equilibrium():
     for n in (3, 6):
         pen = build_pencil([Fraction(0)] * n)
@@ -283,6 +303,27 @@ def test_integrality_free_constant_samples():
     rep = verify_integrality(5, 5, 6)
     assert len(rep.samples) == len(DEFAULT_NU5_SAMPLES)
     assert rep.all_integers
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_integrality_split_equals_the_full_scan_on_grid(n):
+    """Every ``verify_integrality`` sample of size n, on each c_1 shift of
+    the oracle test, reports the charpoly, roots and remainder of the
+    unsplit scan of the full pencil.  At integer ``mu`` the kernel and the
+    scan see a leading block of at most ``mu`` rows, shifted or not."""
+    for nu in (0, 1, 3, 4, 5):
+        for mu in range(nu, n + 1):
+            for delta in (0, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2)):
+                rep = verify_integrality(nu, mu, n, perturb_c1=delta)
+                for sample in rep.samples:
+                    A, B = sample.pencil.A, sample.pencil.B
+                    assert spectrum._leading_size(A.numerators, B.numerators) <= mu
+                    full = pencil_charpoly_exact(A, B)
+                    roots, rem = integer_roots(full)
+                    got = (sample.charpoly, list(sample.integer_roots), sample.remainder)
+                    assert got == (full, roots, rem), (nu, mu, n, delta)
+                    integral = len(roots) == 2 * n and rem == IntegerPolynomial([1])
+                    assert sample.all_integers == integral
 
 
 def test_rows_past_mu_split_off_as_diagonal_quadratics():
