@@ -206,17 +206,23 @@ class MatrixFlowState:
         object.__setattr__(self, "Udot", V)
 
 
-def _check_distinct(z: np.ndarray):
-    n = z.size
+def _distinct_check(n: int):
+    """``check(z)`` for ``n`` coordinates: raises :class:`CollisionError`
+    when two of them lie closer than :data:`COLLISION_THRESHOLD`.  The
+    pairs ``i < j`` are enumerated here, once, so that a run builds them
+    once for all its accepted steps."""
     if n < 2:
-        return
-    diff = np.abs(z[:, None] - z[None, :])
-    np.fill_diagonal(diff, np.inf)
-    dmin = float(np.min(diff))
-    if dmin < COLLISION_THRESHOLD:
-        raise CollisionError(
-            f"coordinates closer than {COLLISION_THRESHOLD:g} (min gap {dmin:.3e})"
-        )
+        return lambda z: None
+    i, j = np.triu_indices(n, 1)
+
+    def check(z):
+        dmin = float(np.minimum.reduce(np.abs(z[i] - z[j])))
+        if dmin < COLLISION_THRESHOLD:
+            raise CollisionError(
+                f"coordinates closer than {COLLISION_THRESHOLD:g} (min gap {dmin:.3e})"
+            )
+
+    return check
 
 
 # residual target of the spectral route's initial zeros
@@ -260,7 +266,7 @@ def _particle_acceleration(spec: ModelSpec):
         diff.flat[diag] = 1.0
         terms = w[None, :] / diff
         terms.flat[diag] = 0.0
-        return w * np.sum(terms, axis=1)
+        return w * np.add.reduce(terms, axis=1)
 
     if spec.system is System.ISOGOLD:
 
@@ -292,7 +298,7 @@ def _particle_acceleration(spec: ModelSpec):
         diff.flat[diag] = 1.0
         inv = 1.0 / diff ** 3
         inv.flat[diag] = 0.0
-        return phi(z) - k * np.sum(inv, axis=1)
+        return phi(z) - k * np.add.reduce(inv, axis=1)
 
     return acc
 
@@ -311,7 +317,7 @@ def eval_rhs(spec: ModelSpec, state):
         z, v = state.z, state.zdot
         if z.size != spec.N:
             raise ValueError(f"state has {z.size} particles, spec.N = {spec.N}")
-        _check_distinct(z)
+        _distinct_check(z.size)(z)
         return _particle_acceleration(spec)(z, v)
 
     if isinstance(state, CoefficientState):
@@ -405,7 +411,7 @@ def build_matrix_initial_data(spec: ModelSpec, state0: ParticleState) -> MatrixF
     z, v = state0.z, state0.zdot
     if z.size != spec.N:
         raise ValueError(f"state has {z.size} particles, spec.N = {spec.N}")
-    _check_distinct(z)
+    _distinct_check(z.size)(z)
     U0 = np.diag(z).astype(complex)
     if spec.system in (System.RCM, System.VESELOV):
         diff = z[:, None] - z[None, :]
@@ -629,8 +635,9 @@ def simulate(
         else:
             on_step = None
             if spec.system in _PARTICLE:
-                _check_distinct(y0[:n])
-                on_step = lambda t, y: _check_distinct(y[:n])
+                check = _distinct_check(n)
+                check(y0[:n])
+                on_step = lambda t, y: check(y[:n])
             rhs = _first_order_rhs(spec, time_path)
             traj = integrate_ode(rhs, y0, (t0, t1), tol=tol, t_eval=t_samples, on_step=on_step)
         return SimulationResult(spec, method, traj)
@@ -648,7 +655,7 @@ def simulate(
         conv = TILDE if spec.system is System.ALTISOGOLD else PLAIN
         poly = MonicPolynomial(np.concatenate([[1.0 + 0j], state0.c]), conv)
         z0 = find_roots(poly, tol=_ROOT_TOL)
-        _check_distinct(z0)
+        _distinct_check(z0.size)(z0)
         # velocity of each zero from the coefficient velocities:
         # zdot_k = -psi_t(z_k) / psi'(z_k)
         plaind = conv.unstrip(np.concatenate([[0.0 + 0j], state0.cdot]))[1:]

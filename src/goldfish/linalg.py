@@ -2,9 +2,10 @@
 eigenvalue-path tracking.
 
 Everything here operates on plain numpy arrays with ``complex128`` entries.
-The integrator is scipy's DOP853 (an explicit Runge-Kutta 8(5,3) pair)
-with seventh-order dense output, its tolerances scaled by ``1/sqrt(n)`` so
-that the local error of every component stays below ``tol (1 + |y|)``.
+The integrator is a loop over scipy's DOP853 stepper (an explicit
+Runge-Kutta 8(5,3) pair) whose seventh-order dense output is built only on
+the steps that hold a sample; its tolerances are scaled by ``1/sqrt(n)``
+so that the local error of every component stays below ``tol (1 + |y|)``.
 Step-size underflow is treated as the signature of a movable singularity
 of the (meromorphic) solutions handled by this package and is reported as
 :class:`MovableSingularityError` instead of propagating NaNs.
@@ -125,11 +126,11 @@ class Trajectory:
 def integrate_ode(rhs, y0, t_span, tol=1e-10, t_eval=None, return_dense=False, on_step=None):
     """Integrate ``dy/dt = rhs(t, y)`` over a complexified state.
 
-    A thin wrapper over scipy's ``solve_ivp(method="DOP853")``, the
-    explicit Runge-Kutta 8(5,3) pair of Hairer, Norsett and Wanner with
-    seventh-order dense output.  Per-step local error is kept below
-    ``tol`` componentwise, relative to ``1 + |y|``: scipy bounds the RMS
-    norm of ``err / (atol + rtol |y|)`` by one, so passing
+    A loop over scipy's ``DOP853`` stepper, the explicit Runge-Kutta
+    8(5,3) pair of Hairer, Norsett and Wanner with seventh-order dense
+    output.  Per-step local error is kept below ``tol`` componentwise,
+    relative to ``1 + |y|``: scipy bounds the RMS norm of
+    ``err / (atol + rtol |y|)`` by one, so passing
     ``rtol = atol = tol / sqrt(n)`` for a state of length ``n`` bounds
     every single component by ``tol (1 + |y|)``.  That value is clamped
     at scipy's ``rtol`` floor of ``100 eps``, so that ``tol = 1e-14``
@@ -139,7 +140,8 @@ def integrate_ode(rhs, y0, t_span, tol=1e-10, t_eval=None, return_dense=False, o
     ``rhs`` is called as given, with no checks of its own: it is checked
     once, on the initial state.  The interpolant (three extra ``rhs``
     evaluations per step) is built only for the steps that contain a
-    sample, unless ``return_dense`` asks for it on every step.
+    sample, unless ``return_dense`` asks for it on every step.  A sample
+    at a step's end point is read from that step's interpolant.
 
     Parameters
     ----------
@@ -152,8 +154,8 @@ def integrate_ode(rhs, y0, t_span, tol=1e-10, t_eval=None, return_dense=False, o
     tol : float
         Local error tolerance, in ``[1e-14, 1e-4]``.
     t_eval : array_like of float, optional
-        Increasing sample times inside ``t_span``; defaults to the
-        accepted step points.
+        Strictly increasing sample times inside ``t_span``; defaults to
+        the accepted step points.
     return_dense : bool
         Also return the dense interpolant ``t -> y(t)`` (used internally
         for eigenvalue path refinement); it raises ``ValueError`` for
@@ -169,7 +171,7 @@ def integrate_ode(rhs, y0, t_span, tol=1e-10, t_eval=None, return_dense=False, o
         On step-size underflow (the hallmark of a movable pole); carries
         the last accepted step time.
     """
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import DOP853, OdeSolution
 
     if not 1e-14 <= tol <= 1e-4:
         raise ValueError(f"tol must lie in [1e-14, 1e-4], got {tol}")
@@ -181,42 +183,81 @@ def integrate_ode(rhs, y0, t_span, tol=1e-10, t_eval=None, return_dense=False, o
         raise ValueError("y0 must be a flat vector")
     if not np.all(np.isfinite(y)):
         raise ValueError("y0 must be finite")
+    if t_eval is not None:
+        t_eval = _checked_samples(t_eval, t0, t1)
 
     f = np.asarray(rhs(t0, y), dtype=complex)
     if f.shape != y.shape or not np.all(np.isfinite(f)):
         raise ValueError("rhs is not finite on the initial state")
 
-    # solve_ivp calls every event function on the initial state and after
-    # each accepted step; this one never changes sign, so no root-finding
-    # runs, and it keeps the last accepted time, which ``sol.t`` does not
-    # hold when it holds only the samples
-    last_time = [t0]
-
-    def step_hook(t, y):
-        last_time[0] = t
-        if on_step is not None:
-            on_step(t, y)
-        return 1.0
-
     scaled = max(tol / np.sqrt(y.size), 100 * np.finfo(float).eps)
-    sol = solve_ivp(
-        rhs, (t0, t1), y, method="DOP853", t_eval=t_eval, dense_output=return_dense,
-        events=step_hook, rtol=scaled, atol=scaled,
-    )
-    if sol.status == -1:
-        raise MovableSingularityError(float(last_time[0]))
+    solver = DOP853(rhs, t0, y, t1, rtol=scaled, atol=scaled)
+    if on_step is not None:
+        on_step(t0, y)
+    if t_eval is None:
+        times, rows = [t0], [y]
+    else:
+        times, rows = [], []
+    # the end point of every accepted step, and its interpolant, for
+    # ``return_dense``
+    ends, pieces = [t0], []
+    taken = 0  # samples of t_eval already read
+    while solver.status == "running":
+        solver.step()
+        if solver.status == "failed":
+            raise MovableSingularityError(float(solver.t))
+        t = solver.t
+        piece = None
+        if return_dense:
+            piece = solver.dense_output()
+            ends.append(t)
+            pieces.append(piece)
+        if on_step is not None:
+            on_step(t, solver.y)
+        if t_eval is None:
+            times.append(t)
+            rows.append(solver.y)
+            continue
+        upto = np.searchsorted(t_eval, t, side="right")
+        if upto > taken:
+            if piece is None:
+                piece = solver.dense_output()
+            times.append(t_eval[taken:upto])
+            rows.append(piece(t_eval[taken:upto]).T)
+            taken = upto
 
     # C order, so that a row's values and velocities can be viewed as float
-    traj = Trajectory(sol.t, np.ascontiguousarray(np.transpose(sol.y)))
+    traj = Trajectory(np.hstack(times), np.vstack(rows))
     if not return_dense:
         return traj
+
+    sol = OdeSolution(ends, pieces)
 
     def dense(t):
         if np.any(np.less(t, t0)) or np.any(np.greater(t, t1)):
             raise ValueError(f"t = {t} outside integrated range [{t0}, {t1}]")
-        return sol.sol(t)
+        return sol(t)
 
     return traj, dense
+
+
+def _checked_samples(t_eval, t0: float, t1: float) -> np.ndarray:
+    """``t_eval`` as a float array, checked to be a non-empty, strictly
+    increasing 1-d array inside ``[t0, t1]``."""
+    t = np.asarray(t_eval, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise ValueError(f"t_eval must be a non-empty 1-d array, got shape {t.shape}")
+    outside = ~((t >= t0) & (t <= t1))  # NaN included
+    if np.any(outside):
+        raise ValueError(f"t_eval value {float(t[outside][0])!r} lies outside t_span [{t0}, {t1}]")
+    later = np.diff(t) <= 0
+    if np.any(later):
+        k = int(np.argmax(later)) + 1
+        raise ValueError(
+            f"t_eval must be strictly increasing: t_eval[{k}] = {float(t[k])!r} "
+            f"follows {float(t[k - 1])!r}"
+        )
+    return t
 
 
 @dataclass(frozen=True)

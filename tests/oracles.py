@@ -29,7 +29,11 @@ tracking and spectral route share is checked against a loop of its own,
 and so are the spectral branch velocities from a second decomposition of
 every sample, matched to the branches by an assignment of its own: the
 library labels the eigenvectors of its one decomposition with the
-walker's slots and must give the same velocities bit for bit.
+walker's slots and must give the same velocities bit for bit.  The
+integrator is kept here as a wrapper over scipy's ``solve_ivp`` that
+learns the last accepted time from an event function which never fires:
+the library's own loop over the ``DOP853`` stepper must reproduce its
+samples, interpolant, failure time and accepted steps bit for bit.
 
 The paper identities that no report uses live here too: the
 generating-polynomial residual of the coefficient dynamics, the quartic
@@ -51,6 +55,7 @@ from scipy.optimize import linear_sum_assignment
 from goldfish.dynamics import ModelSpec, ParticleState, System, eval_rhs
 from goldfish.linalg import (
     AmbiguousTrackingError,
+    MovableSingularityError,
     TrackedPaths,
     Trajectory,
     _match_step,
@@ -861,3 +866,100 @@ def permutation_order(perm) -> int:
             length += 1
         order = order * length // np.gcd(order, length)
     return int(order)
+
+
+def solve_ivp_reference(rhs, y0, t_span, tol=1e-10, t_eval=None, return_dense=False, on_step=None):
+    """Integrate ``dy/dt = rhs(t, y)`` over a complexified state.
+
+    A thin wrapper over scipy's ``solve_ivp(method="DOP853")``, the
+    explicit Runge-Kutta 8(5,3) pair of Hairer, Norsett and Wanner with
+    seventh-order dense output.  Per-step local error is kept below
+    ``tol`` componentwise, relative to ``1 + |y|``: scipy bounds the RMS
+    norm of ``err / (atol + rtol |y|)`` by one, so passing
+    ``rtol = atol = tol / sqrt(n)`` for a state of length ``n`` bounds
+    every single component by ``tol (1 + |y|)``.  That value is clamped
+    at scipy's ``rtol`` floor of ``100 eps``, so that ``tol = 1e-14``
+    raises no scipy warning; below ``100 eps sqrt(n)`` the componentwise
+    bound is ``100 eps sqrt(n) (1 + |y|)`` instead.
+
+    ``rhs`` is called as given, with no checks of its own: it is checked
+    once, on the initial state.  The interpolant (three extra ``rhs``
+    evaluations per step) is built only for the steps that contain a
+    sample, unless ``return_dense`` asks for it on every step.
+
+    Parameters
+    ----------
+    rhs : callable
+        ``rhs(t, y) -> dy/dt`` with ``t`` real and ``y`` complex.
+    y0 : array_like of complex
+        Initial state.
+    t_span : (float, float)
+        Integration window ``(t0, t1)`` with ``t1 > t0``.
+    tol : float
+        Local error tolerance, in ``[1e-14, 1e-4]``.
+    t_eval : array_like of float, optional
+        Increasing sample times inside ``t_span``; defaults to the
+        accepted step points.
+    return_dense : bool
+        Also return the dense interpolant ``t -> y(t)`` (used internally
+        for eigenvalue path refinement); it raises ``ValueError`` for
+        ``t`` outside ``t_span`` rather than extrapolating.
+    on_step : callable, optional
+        ``on_step(t, y)``, called on the initial state and after every
+        accepted step (never at a stage point); an exception it raises
+        ends the integration and propagates unchanged.
+
+    Raises
+    ------
+    MovableSingularityError
+        On step-size underflow (the hallmark of a movable pole); carries
+        the last accepted step time.
+    """
+    from scipy.integrate import solve_ivp
+
+    if not 1e-14 <= tol <= 1e-4:
+        raise ValueError(f"tol must lie in [1e-14, 1e-4], got {tol}")
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not t1 > t0:
+        raise ValueError("t_span must satisfy t1 > t0")
+    y = np.asarray(y0, dtype=complex)
+    if y.ndim != 1:
+        raise ValueError("y0 must be a flat vector")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y0 must be finite")
+
+    f = np.asarray(rhs(t0, y), dtype=complex)
+    if f.shape != y.shape or not np.all(np.isfinite(f)):
+        raise ValueError("rhs is not finite on the initial state")
+
+    # solve_ivp calls every event function on the initial state and after
+    # each accepted step; this one never changes sign, so no root-finding
+    # runs, and it keeps the last accepted time, which ``sol.t`` does not
+    # hold when it holds only the samples
+    last_time = [t0]
+
+    def step_hook(t, y):
+        last_time[0] = t
+        if on_step is not None:
+            on_step(t, y)
+        return 1.0
+
+    scaled = max(tol / np.sqrt(y.size), 100 * np.finfo(float).eps)
+    sol = solve_ivp(
+        rhs, (t0, t1), y, method="DOP853", t_eval=t_eval, dense_output=return_dense,
+        events=step_hook, rtol=scaled, atol=scaled,
+    )
+    if sol.status == -1:
+        raise MovableSingularityError(float(last_time[0]))
+
+    # C order, so that a row's values and velocities can be viewed as float
+    traj = Trajectory(sol.t, np.ascontiguousarray(np.transpose(sol.y)))
+    if not return_dense:
+        return traj
+
+    def dense(t):
+        if np.any(np.less(t, t0)) or np.any(np.greater(t, t1)):
+            raise ValueError(f"t = {t} outside integrated range [{t0}, {t1}]")
+        return sol.sol(t)
+
+    return traj, dense

@@ -76,8 +76,27 @@ def test_rhs_coefficient_equilibrium():
 
 def test_rhs_collision_detected():
     spec = ModelSpec(System.GOLD, 2)
-    with pytest.raises(CollisionError):
+    message = r"^coordinates closer than 1e-10 \(min gap 1\.000e-12\)$"
+    with pytest.raises(CollisionError, match=message):
         eval_rhs(spec, ParticleState([1.0, 1.0 + 1e-12], [0.0, 0.0]))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_collision_message_names_the_smallest_gap(n):
+    """Every pair is compared, not only neighbours, and the message carries
+    the smallest gap; gaps just above the threshold pass."""
+    for i in range(n):
+        for j in range(i + 1, n):
+            z = np.arange(n) * (1.0 + 0.5j)
+            z[j] = z[i] + 3e-11j
+            if j + 1 < n:
+                z[j + 1] = z[i] - 7e-11
+            with pytest.raises(CollisionError, match=r"\(min gap 3\.000e-11\)$"):
+                dynamics._distinct_check(n)(z)
+            z[j] = z[i] + 1.5 * dynamics.COLLISION_THRESHOLD
+            if j + 1 < n:
+                z[j + 1] = z[i] - 2 * dynamics.COLLISION_THRESHOLD
+            dynamics._distinct_check(n)(z)
 
 
 def test_simulate_collision_at_accepted_step():
@@ -85,7 +104,8 @@ def test_simulate_collision_at_accepted_step():
     # the final accepted step t = 1
     spec = ModelSpec(System.VESELOV, 2, phi_poly=(0.0,))
     state = ParticleState([0.0, 1.0 + 5e-11], [1.0, 0.0])
-    with pytest.raises(CollisionError):
+    message = r"^coordinates closer than 1e-10 \(min gap 5\.000e-11\)$"
+    with pytest.raises(CollisionError, match=message):
         simulate(spec, state, np.linspace(0.0, 1.0, 5))
 
 

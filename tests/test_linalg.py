@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from goldfish.dynamics import ParticleState
+from goldfish import dynamics
+from goldfish.dynamics import ModelSpec, ParticleState, System
 from goldfish.linalg import (
     AmbiguousTrackingError,
     MovableSingularityError,
@@ -207,6 +208,111 @@ def test_integrator_on_step_sees_accepted_steps_only():
     with pytest.raises(Refused) as info:
         integrate_ode(rhs, np.array([1.0 + 0j]), (0.0, 2 * np.pi), tol=1e-10, on_step=refuse)
     assert info.value is refusal
+
+
+def _integrate_recorded(integrate, rhs, y0, t_span, **kwargs):
+    """Run ``integrate`` with a counted ``rhs`` and a recording ``on_step``;
+    returns the result (or the :class:`MovableSingularityError` raised),
+    the ``on_step`` sequence and the number of ``rhs`` calls."""
+    calls, steps = [0], []
+
+    def counted(t, y):
+        calls[0] += 1
+        return rhs(t, y)
+
+    def on_step(t, y):
+        steps.append((t, y.copy()))
+
+    try:
+        out = integrate(counted, y0, t_span, on_step=on_step, **kwargs)
+    except MovableSingularityError as exc:
+        out = exc
+    return out, steps, calls[0]
+
+
+def _reference_cases():
+    """``(name, rhs, y0, t1, kwargs)`` of the runs the stepper loop must
+    repeat bit for bit; every run starts at ``t = 0``."""
+    rng = np.random.default_rng(31)
+
+    def draw(n, scale=0.4):
+        return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+    def field(system, n, time_path=None, **constants):
+        return dynamics._first_order_rhs(ModelSpec(system, n, **constants), time_path)
+
+    def samples(t1, count):
+        return dict(t_eval=np.linspace(0.0, t1, count))
+
+    period = 2 * np.pi
+    yield "isogold N = 3, 4 periods", field(System.ISOGOLD, 3), draw(6), 4 * period, samples(
+        4 * period, 4 * 32 + 1
+    )
+    for a2 in (0.0, -1.0, 1 + 1j):
+        yield f"gold N = 4, a2 = {a2}", field(System.GOLD, 4, a2=a2), draw(8), 1.0, samples(1.0, 21)
+    c0 = np.concatenate([draw(3, 0.1), draw(3, 0.05)])
+    yield "altisogold N = 3", field(System.ALTISOGOLD, 3), c0, period, samples(period, 33)
+    gold = ModelSpec(System.GOLD, 3, a2=-1.0)
+    init = dynamics.build_matrix_initial_data(gold, ParticleState(draw(3, 0.5), draw(3, 0.3)))
+    u0 = dynamics._state_to_vector(init)
+    dense = dict(t_eval=[0.0, 1.5], return_dense=True, tol=1e-11)
+    yield "matrix-u, dense", field(System.MATRIX_U, 3, a2=-1.0), u0, 1.5, dense
+    trick = field(System.ISOGOLD, 3, "trick")
+    yield "isogold N = 3, trick path", trick, draw(6), period, samples(period, 65)
+    yield "gold N = 2, no t_eval", field(System.GOLD, 2), draw(4), 2.0, {}
+    dense = dict(return_dense=True)
+    yield "gold N = 2, no t_eval, dense", field(System.GOLD, 2), draw(4), 2.0, dense
+    pole = lambda t, y: y * y
+    yield "y' = y^2 pole", pole, np.array([1.0 + 0j]), 2.0, {}
+    yield "y' = y^2 pole, sampled", pole, np.array([1.0 + 0j]), 2.0, samples(2.0, 8)
+
+
+@pytest.mark.parametrize("case", list(_reference_cases()), ids=lambda case: case[0])
+def test_integrator_equals_solve_ivp_reference(case):
+    """The stepper loop gives the times, states, interpolant, failure time,
+    accepted steps and number of ``rhs`` calls of ``solve_ivp`` bit for bit."""
+    _, rhs, y0, t1, kwargs = case
+    got, got_steps, got_calls = _integrate_recorded(integrate_ode, rhs, y0, (0.0, t1), **kwargs)
+    want, want_steps, want_calls = _integrate_recorded(
+        oracles.solve_ivp_reference, rhs, y0, (0.0, t1), **kwargs
+    )
+    assert got_calls == want_calls
+    assert len(got_steps) == len(want_steps) > 1
+    for (t, y), (t_ref, y_ref) in zip(got_steps, want_steps):
+        assert t == t_ref and np.array_equal(y, y_ref)
+    if isinstance(want, MovableSingularityError):
+        assert isinstance(got, MovableSingularityError)
+        assert got.last_time == want.last_time == want_steps[-1][0]
+        return
+    if kwargs.get("return_dense"):
+        (got, dense), (want, want_dense) = got, want
+        step_times = np.array([t for t, _ in want_steps])
+        mid = (step_times[:-1] + step_times[1:]) / 2
+        assert np.array_equal(dense(mid), want_dense(mid))
+        assert all(np.array_equal(dense(t), want_dense(t)) for t in mid)
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.states, want.states)
+    assert got.states.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "t_eval, message",
+    [
+        (np.zeros((2, 2)), r"1-d array, got shape \(2, 2\)"),
+        (np.array([]), r"1-d array, got shape \(0,\)"),
+        ([0.0, 0.5, 1.25], "value 1.25 lies outside t_span"),
+        ([-0.5, 0.5], "value -0.5 lies outside t_span"),
+        ([0.0, np.nan, 1.0], "value nan lies outside t_span"),
+        ([0.0, 0.5, 0.5, 1.0], r"strictly increasing: t_eval\[2\] = 0.5 follows 0.5"),
+        ([0.0, 0.6, 0.4], r"strictly increasing: t_eval\[2\] = 0.4 follows 0.6"),
+    ],
+)
+def test_integrator_rejects_bad_samples(t_eval, message):
+    calls = []
+    rhs = lambda t, y: calls.append(t) or 1j * y
+    with pytest.raises(ValueError, match=message):
+        integrate_ode(rhs, np.array([1.0 + 0j]), (0.0, 1.0), t_eval=t_eval)
+    assert not calls  # refused before the first rhs call
 
 
 def test_trajectory_validation():
