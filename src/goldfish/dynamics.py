@@ -614,9 +614,12 @@ def simulate(
     particle systems, characteristic-polynomial coefficients for the
     coefficient systems.  ``time_path="trick"`` (direct method only)
     integrates along the complex path ``tau(t) = i (1 - exp(i t))``
-    parametrised by the real ``t_samples``.
+    parametrised by the real ``t_samples``; any other ``time_path`` but
+    ``None`` (real time) is a ``ValueError``.
     """
     method = method.lower()
+    if time_path not in (None, "trick"):
+        raise ValueError(f"unknown time path {time_path!r}")
     t_samples = np.asarray(t_samples, dtype=float)
     if t_samples.ndim != 1 or t_samples.size < 1:
         raise ValueError("t_samples must be a non-empty 1-d array")
@@ -721,16 +724,20 @@ def detect_period(
     """Smallest ``p <= p_max`` with ``state(t + p T) = state(t)`` over one
     base period ``T = 2 pi``, within ``tol``.
 
-    Both kinds compare componentwise: direct trajectories and tracked
-    spectral branches carry coherent labels, and complete periodicity
-    means every labelled component returns (a label exchange lengthens
-    the period, which is exactly the integer this routine measures; a
-    multiset comparison would be blind to exchanges).  For particle
-    states a per-sample assignment deviation is also recorded so that
-    near-coincident branches do not inflate the reported deviation.  The
-    trajectory must be uniformly sampled with an integer number of
-    samples per base period and must span ``p_max + 1`` base periods.
+    ``kind`` is ``"particle"`` or ``"coefficient"`` (any other string is
+    a ``ValueError``).  Both kinds compare componentwise: direct
+    trajectories and tracked spectral branches carry coherent labels, and
+    complete periodicity means every labelled component returns (a label
+    exchange lengthens the period, which is exactly the integer this
+    routine measures; a multiset comparison would be blind to exchanges).
+    For particle states a per-sample assignment deviation is also recorded
+    so that near-coincident branches do not inflate the reported
+    deviation.  The trajectory must be uniformly sampled with an integer
+    number of samples per base period and must span ``p_max + 1`` base
+    periods.
     """
+    if kind not in ("particle", "coefficient"):
+        raise ValueError(f"unknown trajectory kind {kind!r}")
     if p_max < 1:
         raise ValueError(f"p_max must be at least 1, got {p_max}")
     times = traj.times

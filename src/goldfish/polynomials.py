@@ -388,11 +388,26 @@ def _bareiss_det(rows: list[list[int]]) -> int:
     return sign * rows[0][0]
 
 
-def _border_width(Ai, Bi) -> int:
-    """Smallest ``k`` such that ``Ai`` and ``Bi`` are upper triangular on
-    rows and columns ``>= k``; a dense matrix gives ``n - 1``."""
-    n = len(Ai)
-    return max((j + 1 for i in range(n) for j in range(i) if Ai[i][j] or Bi[i][j]), default=0)
+def _block_split(A: RationalMatrix, B: RationalMatrix):
+    """``(D, k, s, tail)`` for a pencil of two square matrices of one size,
+    from one scan of the entries left of the diagonal.  ``D`` is the lcm
+    of the denominators.  Every row from the first ``s`` on is zero left of
+    the diagonal, and ``tail`` holds each such row's diagonal quadratic
+    ``q_j = D p^2 + A_jj p + B_jj`` (scaled by ``D``) as the ascending
+    integer triple ``(B_jj, A_jj, D)``.  The leading ``s x s`` block is
+    upper triangular on rows and columns ``>= k`` (``k < s``, or
+    ``k = s = 0``)."""
+    n = len(A)
+    D = math.lcm(A.denominator, B.denominator)
+    a, b = A.numerators, B.numerators
+    k = s = 0
+    for i in range(1, n):
+        if any(a[i][:i]) or any(b[i][:i]):
+            s = i + 1
+            while any(a[i][k:i]) or any(b[i][k:i]):
+                k += 1
+    fa, fb = D // A.denominator, D // B.denominator
+    return D, k, s, [(b[j][j] * fb, a[j][j] * fa, D) for j in range(s, n)]
 
 
 def _node_det(Ai, Bi, D: int, k: int, p: int) -> int:
@@ -470,51 +485,61 @@ def pencil_charpoly_exact(A, B) -> IntegerPolynomial:
     integer matrix at every integer ``p`` and the determinant is
     ``det M(p) / D^N``.
 
-    * **One node.**  ``det M(p)`` is taken once, at ``p = 2^b``
-      (:func:`_node_bits`), where every coefficient lies below
+    * **Split.**  ``M(p)`` is block upper triangular (:func:`_block_split`):
+      all below runs on its leading ``s x s`` block, whose determinant is
+      then multiplied by each further row's diagonal quadratic.  An
+      isochronous pencil at integer ``mu`` has ``s <= mu``; a triangular
+      pencil has ``s = 0``, a dense one ``s = N``.
+    * **One node.**  The block's determinant is taken once, at
+      ``p = 2^b`` (:func:`_node_bits`), where every coefficient lies below
       ``2^(b - 1)`` in magnitude and no diagonal quadratic vanishes.  The
-      ``2N + 1`` balanced base-``2^b`` digits of the value are the
+      ``2s + 1`` balanced base-``2^b`` digits of the value are the
       coefficients, and nothing may be left over (Kronecker substitution).
-    * **Border.**  ``k`` is the smallest index with ``A`` and ``B`` upper
+    * **Border.**  ``k`` is the smallest index with the block upper
       triangular on rows and columns ``>= k``.  Every pencil of the
       isochronous bracket has ``k <= 2``: row ``m`` couples only to
       ``c_1``, ``c_2`` and a band on and right of the diagonal.  A dense
-      matrix gives ``k = N - 1``.  The node value is a Schur complement on
+      block gives ``k = s - 1``.  The node value is a Schur complement on
       the triangular trailing block plus integer Bareiss on the ``k x k``
-      border, so a banded block costs O(N) integer operations, not O(N^3).
+      border, so a banded block costs O(s) integer operations, not O(s^3).
     * **Certificate.**  The digits must agree with a Bareiss determinant
-      of the full matrix at ``N + 1``, an evaluation that takes no Schur
+      of the whole block at ``s + 1``, an evaluation that takes no Schur
       complement and is made at most once per call, and be monic of
-      degree ``2N``.
-    * **Fallback.**  If the certificate fails, plain Bareiss on the full
-      matrix takes the node value again, checked against the same
+      degree ``2s``.
+    * **Fallback.**  If the certificate fails, plain Bareiss on the whole
+      block takes the node value again, checked against the same
       certificate; only a second failure raises :class:`CertificateError`.
     """
     A, B = RationalMatrix(A), RationalMatrix(B)
-    n = _pencil_size(A, B)
-    D = math.lcm(A.denominator, B.denominator)
+    _pencil_size(A, B)
+    D, k, s, tail = _block_split(A, B)
     Ai, Bi = (
-        M.numerators  # every grid pencil: one denominator, D = 1
+        [row[:s] for row in M.numerators[:s]]  # every grid pencil: one denominator, D = 1
         if M.denominator == D
-        else [[a * (D // M.denominator) for a in row] for row in M.numerators]
+        else [[x * (D // M.denominator) for x in row[:s]] for row in M.numerators[:s]]
         for M in (A, B)
     )
     b = _node_bits(Ai, Bi, D)
-    half, mask, scale = 1 << (b - 1), (1 << b) - 1, D**n
+    half, mask, scale = 1 << (b - 1), (1 << b) - 1, D**s
     certificate = None
-    for k in (_border_width(Ai, Bi), n):  # the Schur node, then plain Bareiss
+    for width in (k, s):  # the Schur node, then plain Bareiss
         try:
-            value = _node_det(Ai, Bi, D, k, 1 << b)
+            value = _node_det(Ai, Bi, D, width, 1 << b)
         except ArithmeticError:
             continue
         digits = []
-        for _ in range(2 * n + 1):
+        for _ in range(2 * s + 1):
             digits.append(((value + half) & mask) - half)
             value = (value - digits[-1]) >> b
         if certificate is None:
-            certificate = _node_det(Ai, Bi, D, n, n + 1)
-        if not value and _horner(digits, n + 1) == certificate and digits[-1] == scale:
-            return IntegerPolynomial._scaled(digits, scale)
+            certificate = _node_det(Ai, Bi, D, s, s + 1)
+        if not value and _horner(digits, s + 1) == certificate and digits[-1] == scale:
+            for b0, a1, d2 in tail:  # times D p^2 + A_jj p + B_jj
+                digits = [
+                    d2 * x + a1 * y + b0 * z
+                    for x, y, z in zip([0, 0, *digits], [0, *digits, 0], [*digits, 0, 0])
+                ]
+            return IntegerPolynomial._scaled(digits, scale * D ** len(tail))
     raise CertificateError("charpoly cross-check failed")
 
 
@@ -573,7 +598,10 @@ def integer_roots(q: IntegerPolynomial):
     the root-bound window tests by Horner evaluation every integer that
     :func:`_root_candidates` keeps, less the nonzero ones that do not
     divide the current quotient's lowest nonzero coefficient (the rational
-    root theorem, once ``p^j`` is factored out); a found root is deflated
+    root theorem, once ``p^j`` is factored out) and those ``r`` where
+    ``r - m`` does not divide ``f(m)`` for ``m = 1`` or ``m = -1``
+    (``f = (p - r) g`` with integer ``g``; ``f`` is the scaled ``q``, and
+    ``r = m`` is left to the Horner test); a found root is deflated
     exactly (synthetic division) and re-tested, so multiplicities are
     counted.  Deflation adds no roots, so the first bound holds for every
     quotient and every integer below the current one has already failed.
@@ -585,9 +613,13 @@ def integer_roots(q: IntegerPolynomial):
     roots = []
     if len(c) > 1:
         low = next(filter(None, c))
+        at_one, at_minus_one = sum(c), sum(c[::2]) - sum(c[1::2])
         for r in _root_candidates(c, _root_bound(c)):
-            # a nonzero root divides low, and a nonzero constant never vanishes
-            while not (r and low % r) and _horner(c, r) == 0:
+            # a nonzero root divides low, r - m divides f(m) at m = +-1, and a
+            # nonzero constant never vanishes
+            while not (
+                r and low % r or r - 1 and at_one % (r - 1) or r + 1 and at_minus_one % (r + 1)
+            ) and _horner(c, r) == 0:
                 roots.append(r)
                 c, _ = _deflate(c, r)
                 low = next(filter(None, c))

@@ -26,8 +26,10 @@ from .dynamics import _iso_bracket
 from .equilibria import ISO_NU_VALUES, EquilibriumConfig, cbar_closed_form
 from .linalg import eigenvalues, multiset_distance
 from .polynomials import (
+    CertificateError,
     IntegerPolynomial,
     RationalMatrix,
+    _block_split,
     _deflate,
     _pencil_size,
     _ratio,
@@ -235,101 +237,40 @@ def _nu5_samples(nu: int, free_samples):
     return tuple(Fraction(c) for c in (free_samples or DEFAULT_NU5_SAMPLES))
 
 
-def _times(c, q) -> list:
-    """Ascending coefficients of the product of ``c`` and ``q``, a
-    polynomial of degree at most two, both ascending."""
-    b, a, d = (*q, 0, 0)[:3]
-    out = [d * x + a * y + b * z for x, y, z in zip([0, 0, *c], [0, *c, 0], [*c, 0, 0])]
-    return out[: len(c) + len(q) - 1]
+def _integer_spectrum(pencil: QuadraticPencil, poly: IntegerPolynomial):
+    """:func:`integer_roots` of ``poly``, the charpoly of ``pencil``: the
+    roots sorted with multiplicity, and the remainder in lowest terms.
 
-
-def _leading_size(Ai, Bi) -> int:
-    """The first row ``s`` from which every row of ``Ai`` and ``Bi`` is zero
-    left of the diagonal; ``0`` when both are upper triangular."""
-    for i in reversed(range(1, len(Ai))):
-        if any(Ai[i][:i]) or any(Bi[i][:i]):
-            return i + 1
-    return 0
-
-
-def _split_charpoly(pencil: QuadraticPencil):
-    """The exact charpoly of ``pencil`` and the two factors it is built
-    from: ``(charpoly, leading charpoly, tail)``.
-
-    Past row ``s`` (:func:`_leading_size`, read off the integers) every row
-    of ``M(p) = p^2 I + p A + B`` is zero left of the diagonal, so ``M`` is
-    block upper triangular and
-    ``det M = det M[:s, :s] * prod_(j >= s) q_j(p) / D``, with ``D`` the lcm
-    of the two denominators and ``q_j = D p^2 + A_jj p + B_jj`` on the
-    matrices scaled by ``D``.  :func:`pencil_charpoly_exact` runs on the
-    leading ``s x s`` block only (the whole pencil when ``s = N``); the
-    tail is the list of the ``q_j``, ascending integer triples
-    ``(B_jj, A_jj, D)``.
+    Each tail quadratic ``D p^2 + a p + b`` of the pencil
+    (:func:`~goldfish.polynomials._block_split`) divides ``poly`` and has
+    an integer root only at ``(-a +- r) / (2D)`` with ``r^2 = a^2 - 4Db``.
+    Each such root is deflated off ``poly``, where a nonzero remainder is a
+    :class:`CertificateError`, and :func:`integer_roots` scans what is left.
     """
-    A, B, n = pencil.A, pencil.B, pencil.N
-    s = _leading_size(A.numerators, B.numerators)
-    D = math.lcm(A.denominator, B.denominator)
-    tail = [
-        (B.numerators[j][j] * (D // B.denominator), A.numerators[j][j] * (D // A.denominator), D)
-        for j in range(s, n)
-    ]
-    if tail:
-        A, B = (
-            RationalMatrix._scaled([row[:s] for row in M.numerators[:s]], M.denominator)
-            for M in (A, B)
-        )
-    lead = pencil_charpoly_exact(A, B)
-    if not tail:
-        return lead, lead, tail
-    nums = lead.numerators
-    for q in tail:
-        nums = _times(nums, q)
-    return IntegerPolynomial._scaled(nums, lead.denominator * D ** len(tail)), lead, tail
-
-
-def _split_roots(poly: IntegerPolynomial, lead: IntegerPolynomial, tail):
-    """:func:`integer_roots` of the charpoly ``poly = lead * prod q_j / D``,
-    as :func:`_split_charpoly` returned it: the roots sorted with
-    multiplicity, and the remainder in lowest terms.
-
-    Only ``lead`` is scanned.  A tail quadratic ``D p^2 + a p + b`` has an
-    integer root only at ``(-a +- r) / (2D)`` with ``r^2 = a^2 - 4Db``;
-    each such root is deflated off it, and what is left over, unless it is
-    the constant ``D``, is multiplied into the remainder.  With no root at
-    all the remainder is ``poly`` itself.
-    """
-    roots, rem = integer_roots(lead)
-    if not tail:
-        return roots, rem
-    rest = []
-    for b, a, d in tail:
-        q, disc = [b, a, d], a * a - 4 * d * b
+    found, nums = [], poly.numerators
+    for b, a, d in _block_split(pencil.A, pencil.B)[-1]:
+        disc = a * a - 4 * d * b
         r = math.isqrt(max(disc, 0))
         if r * r == disc:
             for x in (-a - r, -a + r):
                 if x % (2 * d) == 0:
-                    roots.append(x // (2 * d))
-                    q, _ = _deflate(q, roots[-1])
-        if len(q) > 1:
-            rest.append(q)
-    if not roots:
-        return roots, poly
-    nums, den = rem.numerators, rem.denominator
-    for q in rest:
-        nums, den = _times(nums, q), den * q[-1]  # each q leads with D
-    return sorted(roots), IntegerPolynomial._scaled(nums, den)
+                    found.append(x // (2 * d))
+                    nums, rem = _deflate(nums, found[-1])
+                    if rem:
+                        raise CertificateError("a tail quadratic's root is no charpoly root")
+    roots, rem = integer_roots(IntegerPolynomial._scaled(nums, poly.denominator))
+    return sorted(found + roots), rem
 
 
 def _cell_pencils(nu: int, mu, N: int, free_samples, perturb_c1=Fraction(0)):
-    """Yield ``(free constant, pencil, exact charpoly, leading charpoly,
-    tail)`` (:func:`_split_charpoly`) for each sample of one cell, with
-    ``c_1`` shifted by ``perturb_c1`` (the negative control)."""
+    """Yield ``(free constant, pencil, exact charpoly)`` per sample of one
+    cell, with ``c_1`` shifted by ``perturb_c1`` (the negative control)."""
     for cval in _nu5_samples(nu, free_samples):
         cb = list(cbar_closed_form(nu, mu, N, cval))
         if cb:  # build_pencil rejects the empty one
             cb[0] += Fraction(perturb_c1)
         pencil = build_pencil(cb)
-        yield cval, pencil, *_split_charpoly(pencil)
+        yield cval, pencil, pencil_charpoly_exact(pencil.A, pencil.B)
 
 
 def verify_integrality(
@@ -347,19 +288,19 @@ def verify_integrality(
     (remainder one).  ``perturb_c1`` shifts the first coefficient and
     serves as a negative control.
 
-    The exact kernel and the integer-root scan run on the leading
-    ``s x s`` block only (:func:`_split_charpoly`, :func:`_split_roots`):
-    rows past it are zero left of the diagonal, and each gives a
-    quadratic factor whose integer roots its discriminant decides.  At
-    integer ``mu``, ``s <= mu``, since ``cbar_m = 0`` for ``m > mu``
+    Each row from some ``s`` on is zero left of the diagonal and gives a
+    quadratic factor: the kernel runs on the leading ``s x s`` block and
+    multiplies them in, and their integer roots, decided by discriminants,
+    are deflated off before the root scan (:func:`_integer_spectrum`).
+    At integer ``mu``, ``s <= mu``, since ``cbar_m = 0`` for ``m > mu``
     decouples row ``m`` from ``c_1``, ``c_2`` and ``w_1``; ``s`` is read
     off the pencil's integers, so a shifted ``c_1`` or a rational ``mu``
     splits only as far as the zeros reach.
     """
     samples = []
     ok = True
-    for cval, pencil, poly, lead, tail in _cell_pencils(nu, mu, N, free_samples, perturb_c1):
-        roots, rem = _split_roots(poly, lead, tail)
+    for cval, pencil, poly in _cell_pencils(nu, mu, N, free_samples, perturb_c1):
+        roots, rem = _integer_spectrum(pencil, poly)
         all_int = len(roots) == 2 * N and rem.numerators == (1,) and rem.denominator == 1
         ok = ok and all_int
         samples.append(PencilSample(cval, poly, tuple(roots), rem, all_int, pencil))
@@ -498,7 +439,7 @@ def verify_conjectures(which: str, nu: int, mu, N: int, free_samples=None):
         product = conjecture_215_product(nu, mu, N)
         counterexamples = []
         charpoly = None
-        for cval, _, poly, *_ in _cell_pencils(nu, mu, N, free_samples):
+        for cval, _, poly in _cell_pencils(nu, mu, N, free_samples):
             if charpoly is None:
                 charpoly = poly
             if poly != product:
@@ -511,7 +452,7 @@ def verify_conjectures(which: str, nu: int, mu, N: int, free_samples=None):
     if which == "c217":
         mu = Fraction(mu)
         claimed = conjecture_217_claim(nu, mu, N)
-        _, pencil, poly, *_ = next(_cell_pencils(nu, mu, N, free_samples))
+        _, pencil, poly = next(_cell_pencils(nu, mu, N, free_samples))
         # the numerators are poly times its denominator: same remainders up to that factor
         rest, contained = poly.numerators, True
         for value in claimed:

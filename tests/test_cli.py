@@ -67,8 +67,8 @@ def test_spectrum_numeric_solves_the_reported_pencil(tmp_path, perturb):
 def test_spectrum_numeric_builds_each_charpoly_once(monkeypatch, capsys):
     """--numeric solves the first sample's pencil as verify_integrality
     built it: one exact charpoly per free-constant sample (four at nu = 5),
-    each on the leading 5 x 5 block (row 6 is zero left of the diagonal),
-    and the same exact report as without --numeric."""
+    each a kernel call on the whole 6 x 6 pencil (which splits off row 6
+    itself), and the same exact report as without --numeric."""
     calls = []
     charpoly = spectrum.pencil_charpoly_exact
 
@@ -80,7 +80,7 @@ def test_spectrum_numeric_builds_each_charpoly_once(monkeypatch, capsys):
     argv = ["spectrum", "--nu", "5", "--mu", "5", "--n", "6"]
     assert run(argv + ["--numeric"]) == 0
     numeric = json.loads(capsys.readouterr().out)["results"]
-    assert calls == [5] * 4
+    assert calls == [6] * 4
     assert run(argv) == 0
     exact = json.loads(capsys.readouterr().out)["results"]
     assert numeric["samples"] == exact["samples"]

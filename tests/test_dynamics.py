@@ -109,6 +109,21 @@ def test_simulate_collision_at_accepted_step():
         simulate(spec, state, np.linspace(0.0, 1.0, 5))
 
 
+@pytest.mark.parametrize("time_path", ["Trick", "real", ""])
+def test_simulate_refuses_an_unknown_time_path(monkeypatch, time_path):
+    """A time path other than ``None`` or ``"trick"`` is a ValueError that
+    names it, raised before anything is integrated (in real time)."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("integrated along an unknown time path")
+
+    monkeypatch.setattr(dynamics, "integrate_ode", never)
+    spec = ModelSpec(System.VESELOV, 2, phi_poly=(0.0,))
+    state = ParticleState([0.0, 1.0], [1.0, 0.0])
+    with pytest.raises(ValueError, match=f"^unknown time path {time_path!r}$"):
+        simulate(spec, state, np.linspace(0.0, 1.0, 5), time_path=time_path)
+
+
 @pytest.mark.parametrize("c0, cdot0", [((0, 0), (0.1, 0.2)), ((0, 0, 0), (0.1, 0.2, 0.3))])
 def test_spectral_refuses_a_repeated_initial_zero(monkeypatch, c0, cdot0):
     """A double or triple zero that find_roots splits into a close cluster is
@@ -393,6 +408,17 @@ def test_detect_period_needs_a_candidate_period():
     for p_max in (0, -1):
         with pytest.raises(ValueError, match="p_max"):
             detect_period(traj, "particle", p_max=p_max)
+
+
+@pytest.mark.parametrize("kind", ["particles", "Particle", "matrix"])
+def test_detect_period_refuses_an_unknown_kind(kind):
+    """A kind other than "particle" or "coefficient" is a ValueError that
+    names it, not a silent coefficient comparison."""
+    k = 8
+    t = np.arange(2 * k + 1) * (2 * np.pi / k)
+    traj = Trajectory(t, np.ones((t.size, 2), dtype=complex))
+    with pytest.raises(ValueError, match=f"^unknown trajectory kind {kind!r}$"):
+        detect_period(traj, kind)
 
 
 def test_isochronous_small_system_period():

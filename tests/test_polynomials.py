@@ -411,13 +411,15 @@ def test_integer_roots_skip_only_non_roots(zeros, ones, minus_ones, negative, po
 
 
 @pytest.mark.parametrize(
-    "shift, roots, horner", [(0, 20, 52), (Fraction(1, 2), 0, 19)], ids=["grid", "shifted"]
+    "shift, roots, horner", [(0, 20, 52), (Fraction(1, 2), 0, 1)], ids=["grid", "shifted"]
 )
 def test_integer_roots_horner_count_on_a_grid_cell(monkeypatch, shift, roots, horner):
     """The (nu, mu, N) = (3, 5, 10) pencil (20 integer roots, window
     [-49, 49]) and the same with c_1 shifted by 1/2 (none, window [-31, 31]).
-    Only candidates dividing the lowest nonzero coefficient get a Horner
-    test: 52 and 19 tests, where testing every candidate takes 76 and 63."""
+    Only candidates ``r`` dividing the lowest nonzero coefficient, with
+    ``r - 1`` dividing ``f(1)`` and ``r + 1`` dividing ``f(-1)``, get a
+    Horner test: 52 and 1 tests, where testing every candidate takes 76
+    and 63, and the lowest coefficient alone leaves 52 and 19."""
     cbar = list(cbar_closed_form(3, 5, 10))
     cbar[0] += shift
     pencil = build_pencil(cbar)
@@ -560,17 +562,34 @@ def _bordered_pencils(draw):
     return A, B
 
 
-@given(_bordered_pencils())
-def test_pencil_charpoly_bordered_equals_oracle(pencil):
-    """The Schur route is exact on every border width, diagonal quadratics
-    with integer roots included: it agrees with the Fraction oracle, and the
-    one full-size determinant is the certificate (the fallback never runs)."""
-    A, B = pencil
+def _widths(A, B):
+    """``(k, s)`` read off the entries left of the diagonal: one past the
+    last column any of them is nonzero in, and one past the last row."""
+    A, B = oracles.fraction_rows(RationalMatrix(A)), oracles.fraction_rows(RationalMatrix(B))
+    lower = [(i, j) for i in range(len(A)) for j in range(i) if A[i][j] or B[i][j]]
+    return max((j + 1 for _, j in lower), default=0), max((i + 1 for i, _ in lower), default=0)
+
+
+def _assert_one_certified_node(A, B):
+    """The kernel agrees with the Fraction oracle and takes two Bareiss
+    determinants, or none when the pencil is triangular (``s = 0``): the
+    ``k x k`` border of the Schur node and the certificate on the leading
+    ``s x s`` block, so the fallback never runs."""
+    k, s = _widths(A, B)
     with pytest.MonkeyPatch.context() as mp:
         sizes = _count_bareiss(mp)
         poly = pencil_charpoly_exact(A, B)
     assert poly == oracles.charpoly(A, B)
-    assert sizes.count(len(A)) == 1
+    assert sizes == ([k, s] if s else []), (k, s)
+    return poly
+
+
+@given(_bordered_pencils())
+def test_pencil_charpoly_bordered_equals_oracle(pencil):
+    """The Schur route is exact on every border width, diagonal quadratics
+    with integer roots included, and its one determinant of the whole
+    leading block is the certificate."""
+    _assert_one_certified_node(*pencil)
 
 
 @st.composite
@@ -596,13 +615,19 @@ def _block_triangular_pencils(draw):
 
 
 def _assert_split_route_is_the_full_scan(A, B):
-    """The integrality route's charpoly, roots and remainder, built from the
-    leading block and the tail quadratics, are those of the full pencil."""
-    full = pencil_charpoly_exact(A, B)
-    split = spectrum._split_charpoly(QuadraticPencil(A, B))
-    assert split[0] == full
-    assert spectrum._split_roots(*split) == integer_roots(full)
-    return split
+    """The kernel splits off the rows past the leading block and still
+    equals the Fraction oracle with one certificate (on the block), and the
+    integrality route's roots and remainder, found from the tail
+    quadratics and a scan of what is left, are those of the full scan.
+    Returns the roots the route found without the scan."""
+    full = _assert_one_certified_node(A, B)
+    scanned = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "integer_roots", lambda q: scanned.append(q) or integer_roots(q))
+        got = spectrum._integer_spectrum(QuadraticPencil(A, B), full)
+    assert got == integer_roots(full)
+    (rest,) = scanned
+    return Counter(got[0]) - Counter(integer_roots(rest)[0])
 
 
 @given(_block_triangular_pencils())
@@ -633,12 +658,11 @@ def test_split_integrality_route_on_hand_pencils(A, B, s, tail_roots):
     """The leading block has size ``s``: none for a triangular pencil, the
     whole pencil for a dense one.  A tail quadratic gives its integer roots
     with multiplicity (``(p - 2)^2``), none (``p^2 + 1``), or one of two
-    (``2p^2 - 3p + 1``, roots 1 and 1/2, whose cofactor goes into the
-    remainder)."""
-    poly, lead, tail = _assert_split_route_is_the_full_scan(A, B)
-    assert (lead.degree, len(tail)) == (2 * s, len(A) - s)
-    roots = Counter(spectrum._split_roots(poly, lead, tail)[0])
-    assert roots - Counter(integer_roots(lead)[0]) == Counter(tail_roots)
+    (``2p^2 - 3p + 1``, roots 1 and 1/2, whose cofactor is left to the
+    scan and goes into the remainder)."""
+    _, _, got, tail = polynomials._block_split(RationalMatrix(A), RationalMatrix(B))
+    assert (got, len(tail)) == (s, len(A) - s) and _widths(A, B)[1] == s
+    assert _assert_split_route_is_the_full_scan(A, B) == Counter(tail_roots)
 
 
 def _scaled(A, B):
@@ -669,7 +693,7 @@ def test_node_det_agrees_on_every_border_width(pencil, p):
     n = len(A)
     full = polynomials._node_det(Ai, Bi, D, n, p)
     assert full == oracles.charpoly(A, B)(p) * D**n
-    for k in range(polynomials._border_width(Ai, Bi), n + 1):
+    for k in range(_widths(A, B)[0], n + 1):
         assert polynomials._node_det(Ai, Bi, D, k, p) == full, k
 
 
@@ -715,44 +739,47 @@ def _skew_nodes(mp, bad):
 
 
 def _grid_pencil():
-    from goldfish.equilibria import cbar_closed_form
-    from goldfish.spectrum import build_pencil
-
-    return build_pencil(cbar_closed_form(3, 4, 6))
+    """The ``(nu, mu, N) = (3, 4, 6)`` pencil: its leading block has
+    ``s = 4`` rows, and the two rows past it split off."""
+    pen = build_pencil(cbar_closed_form(3, 4, 6))
+    assert _widths(pen.A, pen.B) == (2, 4)
+    return pen, 4
 
 
 def test_pencil_charpoly_falls_back_on_a_wrong_node():
     """A wrong Schur node value fails the certificate (or the exact
-    division), and plain Bareiss at the same node then gives the right
-    polynomial; when that fails too, the result is an ArithmeticError,
-    never a wrong polynomial."""
-    pen = _grid_pencil()
-    n, expect = pen.N, oracles.charpoly(pen.A, pen.B)
+    division), and plain Bareiss on the ``s x s`` leading block at the
+    same node then gives the right polynomial; when that fails too, the
+    result is an ArithmeticError, never a wrong polynomial."""
+    pen, s = _grid_pencil()
+    expect = oracles.charpoly(pen.A, pen.B)
     with pytest.MonkeyPatch.context() as mp:
-        _skew_nodes(mp, lambda k, p: k < n)
+        _skew_nodes(mp, lambda k, p: k < s)
         sizes = _count_bareiss(mp)
         assert pencil_charpoly_exact(pen.A, pen.B) == expect
-    # the certificate at N + 1, taken once, and the fallback node
-    assert sizes.count(n) == 2
+    # the certificate at s + 1, taken once, and the fallback node
+    assert sizes.count(s) == 2
     with pytest.MonkeyPatch.context() as mp:
         # a border determinant off by one leaves a remainder in det(dk S) / dk^(k-1)
-        sizes = _count_bareiss(mp, lambda size: size < n)
+        sizes = _count_bareiss(mp, lambda size: size < s)
         assert pencil_charpoly_exact(pen.A, pen.B) == expect
-    assert sizes.count(n) == 2
+    assert sizes.count(s) == 2
     with pytest.MonkeyPatch.context() as mp:
         # both routes wrong at the node, the certificate's determinant right
-        _skew_nodes(mp, lambda k, p: p != n + 1)
+        _skew_nodes(mp, lambda k, p: p != s + 1)
         with pytest.raises(ArithmeticError, match="cross-check"):
             pencil_charpoly_exact(pen.A, pen.B)
 
 
 def test_pencil_charpoly_fails_on_a_too_narrow_node(monkeypatch):
-    """A node too small for the coefficients carries digits into each
-    other: both routes then read off the same wrong digits and the result
-    is an ArithmeticError, never a wrong polynomial."""
-    pen = _grid_pencil()
+    """A node too small for the leading block's coefficients carries digits
+    into each other: both routes then read off the same wrong digits and
+    the result is an ArithmeticError, never a wrong polynomial."""
+    pen, s = _grid_pencil()
     Ai, Bi, D = _scaled(pen.A, pen.B)
-    scaled = [int(c * D**pen.N) for c in oracles.charpoly(pen.A, pen.B).coeffs]
+    Ai, Bi = [row[:s] for row in Ai[:s]], [row[:s] for row in Bi[:s]]
+    block = ([[Fraction(x, D) for x in row] for row in M] for M in (Ai, Bi))
+    scaled = [int(c * D**s) for c in oracles.charpoly(*block).coeffs]
     # at this width the largest coefficient is no balanced digit
     narrow = max(map(abs, scaled)).bit_length()
     assert narrow < polynomials._node_bits(Ai, Bi, D)

@@ -11,6 +11,7 @@ from goldfish import polynomials, spectrum
 from goldfish.cli import main
 from goldfish.equilibria import cbar_closed_form, expand_iso_psi
 from goldfish.polynomials import (
+    CertificateError,
     IntegerPolynomial,
     RationalMatrix,
     integer_roots,
@@ -153,9 +154,10 @@ def test_exact_kernels_equal_oracles_on_resonant_branch():
 def test_schur_route_certifies_every_grid_pencil(monkeypatch):
     """On every grid pencil (N <= 10, each c_1 shift of the oracle test, and
     the resonant nu = 8 branch) the Schur route passes its certificate: the
-    one node takes a single border determinant of size k <= 2 (none when
-    the pencil is triangular, k = 0), and the only full-size Bareiss
-    determinant is the cross-check, so the fallback never runs."""
+    one node takes a single border determinant of size k <= 2, and the only
+    other Bareiss determinant is the cross-check on the ``s x s`` leading
+    block, so the fallback never runs; a triangular pencil (``k = s = 0``)
+    takes none."""
     sizes = []
     bareiss = polynomials._bareiss_det
 
@@ -177,11 +179,11 @@ def test_schur_route_certifies_every_grid_pencil(monkeypatch):
     ]
     widths = set()
     for pen in pencils:
-        k = polynomials._border_width(pen.A.numerators, pen.B.numerators)
+        _, k, s, _ = polynomials._block_split(pen.A, pen.B)
         widths.add(k)
         sizes.clear()
         pencil_charpoly_exact(pen.A, pen.B)
-        assert k <= 2 and sizes == [k] * (k > 0) + [pen.N], pen
+        assert k <= 2 and sizes == ([k, s] if s else []), pen
     assert widths == {0, 1, 2}
 
 
@@ -305,19 +307,31 @@ def test_integrality_free_constant_samples():
     assert rep.all_integers
 
 
+def test_integrality_refuses_a_charpoly_without_a_tail_root():
+    """Each integer root of a tail quadratic is deflated off the charpoly;
+    one that leaves a remainder is a CertificateError, not a report."""
+    ladder = build_pencil([0, 0])  # tail quadratics (p - 1)(p - 2), (p - 2)(p - 3)
+    assert spectrum._integer_spectrum(ladder, pencil_charpoly_exact(ladder.A, ladder.B)) == (
+        [1, 2, 2, 3],
+        IntegerPolynomial([1]),
+    )
+    with pytest.raises(CertificateError, match="tail"):
+        spectrum._integer_spectrum(ladder, IntegerPolynomial.from_integer_roots([1, 2, 3, 4]))
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_integrality_split_equals_the_full_scan_on_grid(n):
     """Every ``verify_integrality`` sample of size n, on each c_1 shift of
     the oracle test, reports the charpoly, roots and remainder of the
-    unsplit scan of the full pencil.  At integer ``mu`` the kernel and the
-    scan see a leading block of at most ``mu`` rows, shifted or not."""
+    unsplit scan of the full charpoly.  At integer ``mu`` the kernel sees a
+    leading block of at most ``mu`` rows, shifted or not."""
     for nu in (0, 1, 3, 4, 5):
         for mu in range(nu, n + 1):
             for delta in (0, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2)):
                 rep = verify_integrality(nu, mu, n, perturb_c1=delta)
                 for sample in rep.samples:
                     A, B = sample.pencil.A, sample.pencil.B
-                    assert spectrum._leading_size(A.numerators, B.numerators) <= mu
+                    assert polynomials._block_split(A, B)[2] <= mu
                     full = pencil_charpoly_exact(A, B)
                     roots, rem = integer_roots(full)
                     got = (sample.charpoly, list(sample.integer_roots), sample.remainder)
