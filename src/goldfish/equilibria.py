@@ -221,39 +221,56 @@ def phi_recursion_obstruction(nu: int):
 # isochronous equilibria
 
 
-def _iso_series(nu: int, mu, N: int, c) -> tuple[Fraction, ...]:
-    """``c_1..c_N``: the coefficients of ``phi_{nu,c}(x) (1 - x)^(mu - nu)``
-    up to ``x^N``, the TILDE-stripped form of
-    ``phi(z) (z - i)^(mu - nu) z^(N - mu)``.
+def _iso_numerators(nu: int, mu, N: int, c) -> tuple[list[int], int]:
+    """``c_1..c_N`` as integer numerators ``x`` over one denominator
+    ``d > 0``, in lowest terms (``gcd(d, *x) == 1``): the coefficients of
+    ``phi_{nu,c}(x) (1 - x)^(mu - nu)`` up to ``x^N``, the TILDE-stripped
+    form of ``phi(z) (z - i)^(mu - nu) z^(N - mu)``.
 
     The binomial series is exact for any rational ``mu``; for integer
     ``mu >= nu`` it ends on its own after ``x^(mu - nu)``, which gives the
     ``z^(N - mu)`` padding.  The sum runs on integer numerators over the
-    one denominator ``E q^N N!`` (``mu - nu = p/q``, ``phi`` over ``E``),
-    reduced by its gcd with them; only the results become ``Fraction``s.
+    one denominator ``E q^N N!`` (``mu - nu = p/q``, ``phi`` over ``E``,
+    which may be negative), reduced by its gcd with them and made
+    positive.  ``N < 1`` gives no numerators over 1.
     """
     phi, E = _core_polynomial(nu, c)
     r = Fraction(mu) - nu
     if N < 1:
-        return ()
+        return [], 1
     p, q = r.numerator, r.denominator
     binom = [q**N * math.factorial(N)]  # q^N N! times each coefficient of (1 - x)^r
     for j in range(1, N + 1):
         binom.append(binom[-1] * ((j - 1) * q - p) // (q * j))
     x = [sum(map(operator.mul, phi, binom[m::-1])) for m in range(1, N + 1)]
     d = E * binom[0]
-    g = math.gcd(d, *x)
-    return tuple(Fraction(v // g, d // g) for v in x)
+    g = math.gcd(d, *x) * (1 if d > 0 else -1)
+    return [v // g for v in x], d // g
+
+
+def _iso_series(nu: int, mu, N: int, c) -> tuple[Fraction, ...]:
+    """:func:`_iso_numerators` as ``Fraction``s."""
+    x, d = _iso_numerators(nu, mu, N, c)
+    return tuple(Fraction(v, d) for v in x)
+
+
+def _check_iso_nu(nu: int):
+    """Refuse a degree outside the five standard families."""
+    if nu not in ISO_NU_VALUES:
+        raise ValueError(f"nu must be one of {ISO_NU_VALUES}, got {nu}")
 
 
 def cbar_closed_form(nu: int, mu, N: int, c: Fraction = Fraction(0)):
-    """Equilibrium coefficients ``c_1..c_N`` of the ``(nu, mu)`` cell.
+    """Equilibrium coefficients ``c_1..c_N`` of the ``(nu, mu)`` cell, as
+    ``Fraction``s.
 
     ``mu`` may be any rational for the spectral sweeps; the standard
-    enumeration uses integers ``nu <= mu <= N``.
+    enumeration uses integers ``nu <= mu <= N``.  The series is summed on
+    integers over one denominator (:func:`_iso_numerators`, which the
+    exact cell of :mod:`goldfish.spectrum` reads as it is); only the
+    results become ``Fraction``s.
     """
-    if nu not in ISO_NU_VALUES:
-        raise ValueError(f"nu must be one of {ISO_NU_VALUES}, got {nu}")
+    _check_iso_nu(nu)
     return _iso_series(nu, mu, N, c)
 
 

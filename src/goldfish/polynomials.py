@@ -475,6 +475,57 @@ def _node_bits(Ai, Bi, D: int) -> int:
     return (2 * bound).bit_length() + 1
 
 
+def _times_quadratics(digits, quadratics) -> list:
+    """Ascending integer ``digits`` times each ascending integer triple
+    ``(c_0, c_1, c_2)`` of ``quadratics``; a linear factor (``c_2 = 0``)
+    leaves a trailing zero digit."""
+    for b0, a1, d2 in quadratics:
+        digits = [
+            d2 * x + a1 * y + b0 * z
+            for x, y, z in zip([0, 0, *digits], [0, *digits, 0], [*digits, 0, 0])
+        ]
+    return digits
+
+
+def _charpoly_factors(A: RationalMatrix, B: RationalMatrix):
+    """``det(p^2 I + p A + B)`` in factors, for two square matrices of one
+    size (not checked): ``(digits, D^s, tail)``, the ``2s + 1`` ascending
+    digits of the leading ``s x s`` block's determinant over ``D^s``, and
+    the tail quadratics of :func:`_block_split`, each over ``D``.  The
+    method is :func:`pencil_charpoly_exact`'s, which multiplies the
+    factors out."""
+    D, k, s, tail = _block_split(A, B)
+    Ai, Bi = (
+        [row[:s] for row in M.numerators[:s]]  # every grid pencil: one denominator, D = 1
+        if M.denominator == D
+        else [[x * (D // M.denominator) for x in row[:s]] for row in M.numerators[:s]]
+        for M in (A, B)
+    )
+    b = _node_bits(Ai, Bi, D)
+    half, mask, scale = 1 << (b - 1), (1 << b) - 1, D**s
+    certificate = None
+    for width in (k, s):  # the Schur node, then plain Bareiss
+        try:
+            value = _node_det(Ai, Bi, D, width, 1 << b)
+        except ArithmeticError:
+            continue
+        digits = []
+        for _ in range(2 * s + 1):
+            digits.append(((value + half) & mask) - half)
+            value = (value - digits[-1]) >> b
+        if certificate is None:
+            certificate = _node_det(Ai, Bi, D, s, s + 1)
+        if not value and _horner(digits, s + 1) == certificate and digits[-1] == scale:
+            return digits, scale, tail
+    raise CertificateError("charpoly cross-check failed")
+
+
+def _charpoly(digits, scale, tail) -> IntegerPolynomial:
+    """The product of the factors :func:`_charpoly_factors` returns."""
+    den = scale * math.prod(D for *_, D in tail)
+    return IntegerPolynomial._scaled(_times_quadratics(digits, tail), den)
+
+
 def pencil_charpoly_exact(A, B) -> IntegerPolynomial:
     """``det(p^2 I + p A + B)`` computed exactly for rational ``A``, ``B``.
 
@@ -483,7 +534,9 @@ def pencil_charpoly_exact(A, B) -> IntegerPolynomial:
     ``Fraction``).  Over ``D``, the lcm of the two matrices' denominators
     and so of all their entries', ``M(p) = D (p^2 I + p A + B)`` is an
     integer matrix at every integer ``p`` and the determinant is
-    ``det M(p) / D^N``.
+    ``det M(p) / D^N``.  It is the product of the factors that
+    :func:`_charpoly_factors` finds, which the exact cell of
+    :mod:`goldfish.spectrum` reads unmultiplied.
 
     * **Split.**  ``M(p)`` is block upper triangular (:func:`_block_split`):
       all below runs on its leading ``s x s`` block, whose determinant is
@@ -512,35 +565,7 @@ def pencil_charpoly_exact(A, B) -> IntegerPolynomial:
     """
     A, B = RationalMatrix(A), RationalMatrix(B)
     _pencil_size(A, B)
-    D, k, s, tail = _block_split(A, B)
-    Ai, Bi = (
-        [row[:s] for row in M.numerators[:s]]  # every grid pencil: one denominator, D = 1
-        if M.denominator == D
-        else [[x * (D // M.denominator) for x in row[:s]] for row in M.numerators[:s]]
-        for M in (A, B)
-    )
-    b = _node_bits(Ai, Bi, D)
-    half, mask, scale = 1 << (b - 1), (1 << b) - 1, D**s
-    certificate = None
-    for width in (k, s):  # the Schur node, then plain Bareiss
-        try:
-            value = _node_det(Ai, Bi, D, width, 1 << b)
-        except ArithmeticError:
-            continue
-        digits = []
-        for _ in range(2 * s + 1):
-            digits.append(((value + half) & mask) - half)
-            value = (value - digits[-1]) >> b
-        if certificate is None:
-            certificate = _node_det(Ai, Bi, D, s, s + 1)
-        if not value and _horner(digits, s + 1) == certificate and digits[-1] == scale:
-            for b0, a1, d2 in tail:  # times D p^2 + A_jj p + B_jj
-                digits = [
-                    d2 * x + a1 * y + b0 * z
-                    for x, y, z in zip([0, 0, *digits], [0, *digits, 0], [*digits, 0, 0])
-                ]
-            return IntegerPolynomial._scaled(digits, scale * D ** len(tail))
-    raise CertificateError("charpoly cross-check failed")
+    return _charpoly(*_charpoly_factors(A, B))
 
 
 def _root_bound(c: list[int]) -> int:

@@ -22,19 +22,19 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import equilibria, polynomials
 from .dynamics import _iso_bracket
-from .equilibria import ISO_NU_VALUES, EquilibriumConfig, cbar_closed_form
+from .equilibria import ISO_NU_VALUES, EquilibriumConfig, Family
 from .linalg import eigenvalues, multiset_distance
 from .polynomials import (
-    CertificateError,
     IntegerPolynomial,
     RationalMatrix,
-    _block_split,
+    _charpoly,
     _deflate,
     _pencil_size,
     _ratio,
+    _times_quadratics,
     integer_roots,
-    pencil_charpoly_exact,
 )
 
 __all__ = [
@@ -161,22 +161,37 @@ def build_pencil(config_or_cbar) -> QuadraticPencil:
 
     With ``cddot = -F(c, w)``, ``w = i cdot`` and ``c = cbar + r exp(i p t)``,
     the first-order terms give ``(p^2 + A p + B) r = 0`` with
-    ``A = dF/dw`` and ``B = -dF/dc`` at ``(cbar, 0)``.  Both come from a
-    per-``N`` template of integer polynomials in ``cbar``, differentiated
-    symbolically from :func:`_iso_bracket`, evaluated on the integers
-    ``x = d cbar`` (``d`` the common denominator) into integer rows over
-    ``d^degree``, reduced once; no entry becomes a ``Fraction``.  A
-    ``cbar`` entry that is not a finite rational is a ``ValueError``.
+    ``A = dF/dw`` and ``B = -dF/dc`` at ``(cbar, 0)``.  ``cbar`` is read
+    as integers ``x = d cbar`` over the common denominator ``d`` and handed
+    to :func:`_pencil`.  A ``cbar`` entry that is not a finite rational, or
+    an :class:`EquilibriumConfig` of a rational-time family (whose
+    coefficients follow another recurrence), is a ``ValueError``.
     """
     if isinstance(config_or_cbar, EquilibriumConfig):
+        if config_or_cbar.family is not Family.ISO:
+            raise ValueError(
+                "build_pencil linearises the isochronous recurrence, "
+                f"not a {config_or_cbar.family.value} equilibrium"
+            )
         config_or_cbar = config_or_cbar.cbar
     cb = [_ratio(v) for v in config_or_cbar]
-    N = len(cb)
+    d = math.lcm(*(q for _, q in cb))
+    return _pencil([a * (d // q) for a, q in cb], d)
+
+
+def _pencil(x, d: int) -> QuadraticPencil:
+    """The pencil about ``cbar = x / d`` (integers ``x``, ``d > 0``).
+
+    ``A`` and ``B`` come from a per-``N`` template of integer polynomials in
+    ``cbar``, differentiated symbolically from :func:`_iso_bracket`
+    (:func:`_pencil_template`), evaluated on ``x`` into integer rows over
+    ``d^degree`` and reduced once; no entry becomes a ``Fraction``.  An
+    empty ``x`` is a ``ValueError``.
+    """
+    N = len(x)
     if N < 1:
         raise ValueError("need at least one coefficient")
     A_entries, B_entries, degree = _pencil_template(N)
-    d = math.lcm(*(q for _, q in cb))
-    x = [a * (d // q) for a, q in cb]
     scale = [d ** (degree - k) for k in range(degree + 1)]
     den = d ** degree
 
@@ -237,40 +252,54 @@ def _nu5_samples(nu: int, free_samples):
     return tuple(Fraction(c) for c in (free_samples or DEFAULT_NU5_SAMPLES))
 
 
-def _integer_spectrum(pencil: QuadraticPencil, poly: IntegerPolynomial):
-    """:func:`integer_roots` of ``poly``, the charpoly of ``pencil``: the
-    roots sorted with multiplicity, and the remainder in lowest terms.
+def _integer_spectrum(digits, scale: int, tail):
+    """The integer roots, sorted with multiplicity, and the remainder in
+    lowest terms of the charpoly whose factors
+    :func:`~goldfish.polynomials._charpoly_factors` returned: the leading
+    block's ``digits`` over ``scale``, and each tail quadratic
+    ``D p^2 + a p + b`` (the triple ``(b, a, D)``) over ``D``.
 
-    Each tail quadratic ``D p^2 + a p + b`` of the pencil
-    (:func:`~goldfish.polynomials._block_split`) divides ``poly`` and has
-    an integer root only at ``(-a +- r) / (2D)`` with ``r^2 = a^2 - 4Db``.
-    Each such root is deflated off ``poly``, where a nonzero remainder is a
-    :class:`CertificateError`, and :func:`integer_roots` scans what is left.
+    A tail quadratic has an integer root only at ``(-a +- r) / (2D)`` with
+    ``r^2 = a^2 - 4Db``, and :func:`integer_roots` scans the leading factor
+    alone.  The remainder is the leading factor's times each tail quadratic
+    without an integer root and, for one with exactly one (possible when
+    ``D > 1``), its linear cofactor ``D p + a + D root``.
     """
-    found, nums = [], poly.numerators
-    for b, a, d in _block_split(pencil.A, pencil.B)[-1]:
-        disc = a * a - 4 * d * b
+    found, kept, den = [], [], 1
+    for b, a, D in tail:
+        disc = a * a - 4 * D * b
         r = math.isqrt(max(disc, 0))
+        own = []
         if r * r == disc:
-            for x in (-a - r, -a + r):
-                if x % (2 * d) == 0:
-                    found.append(x // (2 * d))
-                    nums, rem = _deflate(nums, found[-1])
-                    if rem:
-                        raise CertificateError("a tail quadratic's root is no charpoly root")
-    roots, rem = integer_roots(IntegerPolynomial._scaled(nums, poly.denominator))
-    return sorted(found + roots), rem
+            own = [x // (2 * D) for x in (-a - r, -a + r) if x % (2 * D) == 0]
+        found += own
+        if len(own) < 2:  # kept whole, or its linear cofactor (a zero p^2 digit)
+            kept.append((a + D * own[0], D, 0) if own else (b, a, D))
+            den *= D
+    roots, rem = integer_roots(IntegerPolynomial._scaled(digits, scale))
+    nums = _times_quadratics(list(rem.numerators), kept)
+    return sorted(found + roots), IntegerPolynomial._scaled(nums, rem.denominator * den)
 
 
 def _cell_pencils(nu: int, mu, N: int, free_samples, perturb_c1=Fraction(0)):
-    """Yield ``(free constant, pencil, exact charpoly)`` per sample of one
-    cell, with ``c_1`` shifted by ``perturb_c1`` (the negative control)."""
+    """Yield ``(free constant, pencil, exact charpoly, its factors)`` per
+    sample of one cell, with ``c_1`` shifted by ``perturb_c1`` (the
+    negative control).  The series numerators
+    (``equilibria._iso_numerators``) go into the pencil as integers, the
+    shift only when it is nonzero, and the kernel's factors
+    (``polynomials._charpoly_factors``) come out as they are, beside
+    their product."""
+    equilibria._check_iso_nu(nu)
     for cval in _nu5_samples(nu, free_samples):
-        cb = list(cbar_closed_form(nu, mu, N, cval))
-        if cb:  # build_pencil rejects the empty one
-            cb[0] += Fraction(perturb_c1)
-        pencil = build_pencil(cb)
-        yield cval, pencil, pencil_charpoly_exact(pencil.A, pencil.B)
+        x, d = equilibria._iso_numerators(nu, mu, N, cval)
+        if x and perturb_c1:
+            a, b = Fraction(perturb_c1).as_integer_ratio()
+            x = [v * b for v in x]
+            x[0] += a * d
+            d *= b
+        pencil = _pencil(x, d)
+        factors = polynomials._charpoly_factors(pencil.A, pencil.B)
+        yield cval, pencil, _charpoly(*factors), factors
 
 
 def verify_integrality(
@@ -288,19 +317,21 @@ def verify_integrality(
     (remainder one).  ``perturb_c1`` shifts the first coefficient and
     serves as a negative control.
 
-    Each row from some ``s`` on is zero left of the diagonal and gives a
-    quadratic factor: the kernel runs on the leading ``s x s`` block and
-    multiplies them in, and their integer roots, decided by discriminants,
-    are deflated off before the root scan (:func:`_integer_spectrum`).
-    At integer ``mu``, ``s <= mu``, since ``cbar_m = 0`` for ``m > mu``
-    decouples row ``m`` from ``c_1``, ``c_2`` and ``w_1``; ``s`` is read
-    off the pencil's integers, so a shifted ``c_1`` or a rational ``mu``
-    splits only as far as the zeros reach.
+    The cell runs on integers from the series to the roots.  Each row
+    from some ``s`` on is zero left of the diagonal and gives a quadratic
+    factor: the kernel runs on the leading ``s x s`` block and hands its
+    digits and the quadratics over unmultiplied.  The quadratics' integer
+    roots are decided by discriminants, and only the leading factor is
+    scanned (:func:`_integer_spectrum`); the reported charpoly is their
+    product.  At integer ``mu``, ``s <= mu``, since ``cbar_m = 0`` for
+    ``m > mu`` decouples row ``m`` from ``c_1``, ``c_2`` and ``w_1``;
+    ``s`` is read off the pencil's integers, so a shifted ``c_1`` or a
+    rational ``mu`` splits only as far as the zeros reach.
     """
     samples = []
     ok = True
-    for cval, pencil, poly in _cell_pencils(nu, mu, N, free_samples, perturb_c1):
-        roots, rem = _integer_spectrum(pencil, poly)
+    for cval, pencil, poly, factors in _cell_pencils(nu, mu, N, free_samples, perturb_c1):
+        roots, rem = _integer_spectrum(*factors)
         all_int = len(roots) == 2 * N and rem.numerators == (1,) and rem.denominator == 1
         ok = ok and all_int
         samples.append(PencilSample(cval, poly, tuple(roots), rem, all_int, pencil))
@@ -439,7 +470,7 @@ def verify_conjectures(which: str, nu: int, mu, N: int, free_samples=None):
         product = conjecture_215_product(nu, mu, N)
         counterexamples = []
         charpoly = None
-        for cval, _, poly in _cell_pencils(nu, mu, N, free_samples):
+        for cval, _, poly, _ in _cell_pencils(nu, mu, N, free_samples):
             if charpoly is None:
                 charpoly = poly
             if poly != product:
@@ -452,7 +483,7 @@ def verify_conjectures(which: str, nu: int, mu, N: int, free_samples=None):
     if which == "c217":
         mu = Fraction(mu)
         claimed = conjecture_217_claim(nu, mu, N)
-        _, pencil, poly = next(_cell_pencils(nu, mu, N, free_samples))
+        _, pencil, poly, _ = next(_cell_pencils(nu, mu, N, free_samples))
         # the numerators are poly times its denominator: same remainders up to that factor
         rest, contained = poly.numerators, True
         for value in claimed:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goldfish import spectrum
+from goldfish import polynomials, spectrum
 from goldfish.cli import build_parser, main
 from goldfish.dynamics import ModelSpec, ParticleState, System, simulate
 from goldfish.equilibria import cbar_closed_form
@@ -70,13 +70,13 @@ def test_spectrum_numeric_builds_each_charpoly_once(monkeypatch, capsys):
     each a kernel call on the whole 6 x 6 pencil (which splits off row 6
     itself), and the same exact report as without --numeric."""
     calls = []
-    charpoly = spectrum.pencil_charpoly_exact
+    factors = polynomials._charpoly_factors
 
     def counted(A, B):
         calls.append(len(A))
-        return charpoly(A, B)
+        return factors(A, B)
 
-    monkeypatch.setattr(spectrum, "pencil_charpoly_exact", counted)
+    monkeypatch.setattr(polynomials, "_charpoly_factors", counted)
     argv = ["spectrum", "--nu", "5", "--mu", "5", "--n", "6"]
     assert run(argv + ["--numeric"]) == 0
     numeric = json.loads(capsys.readouterr().out)["results"]
@@ -126,7 +126,7 @@ def test_failed_certificate_is_a_runtime_failure(monkeypatch, capsys):
     def uncertified(A, B):
         raise ArithmeticError("charpoly cross-check failed")
 
-    monkeypatch.setattr(spectrum, "pencil_charpoly_exact", uncertified)
+    monkeypatch.setattr(polynomials, "_charpoly_factors", uncertified)
     assert run(["spectrum", "--nu", "0", "--mu", "1", "--n", "3"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == "runtime failure: charpoly cross-check failed\n"

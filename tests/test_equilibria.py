@@ -198,6 +198,30 @@ def test_iso_series_equals_fraction_oracle(cell):
     assert type(got) is tuple and {type(x) for x in got} <= {Fraction}
 
 
+@st.composite
+def _family_cells(draw):
+    """``(nu, mu, N, c)`` of the five families with ``N <= 12``, ``mu``
+    any rational (negative and non-integer included) and a rational free
+    constant at ``nu = 5``."""
+    nu = draw(st.sampled_from(equilibria.ISO_NU_VALUES))
+    N = draw(st.integers(1, 12))
+    mu = draw(st.one_of(st.integers(-20, 20), st.fractions(-20, 20, max_denominator=9)))
+    c = draw(st.fractions(-20, 20, max_denominator=12)) if nu == 5 else Fraction(0)
+    return nu, mu, N, c
+
+
+@given(_family_cells())
+def test_series_numerators_equal_cbar_closed_form(cell):
+    """The series core's integers over one denominator are
+    ``cbar_closed_form``'s ``Fraction``s, in lowest terms, and that
+    denominator is the lcm of theirs, the one ``build_pencil`` scales by."""
+    x, d = equilibria._iso_numerators(*cell)
+    cbar = cbar_closed_form(*cell)
+    assert {type(v) for v in (*x, d)} == {int} and d > 0 and math.gcd(d, *x) == 1
+    assert tuple(Fraction(v, d) for v in x) == cbar == oracles.iso_series(*cell)
+    assert d == math.lcm(*(v.denominator for v in cbar))
+
+
 def test_iso_series_without_coefficients_is_empty():
     for nu, mu, N, c in ((0, 0, 0, 0), (3, 5, -1, 0), (5, Fraction(7, 2), -4, Fraction(1, 3))):
         assert equilibria._iso_series(nu, mu, N, c) == oracles.iso_series(nu, mu, N, c) == ()

@@ -617,14 +617,16 @@ def _block_triangular_pencils(draw):
 def _assert_split_route_is_the_full_scan(A, B):
     """The kernel splits off the rows past the leading block and still
     equals the Fraction oracle with one certificate (on the block), and the
-    integrality route's roots and remainder, found from the tail
-    quadratics and a scan of what is left, are those of the full scan.
-    Returns the roots the route found without the scan."""
+    integrality route's roots and remainder, found from the kernel's
+    factors (the tail quadratics and a scan of the leading block's
+    charpoly), are those of the full scan.  Returns the roots the route
+    found without the scan."""
     full = _assert_one_certified_node(A, B)
+    pencil = QuadraticPencil(A, B)
     scanned = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectrum, "integer_roots", lambda q: scanned.append(q) or integer_roots(q))
-        got = spectrum._integer_spectrum(QuadraticPencil(A, B), full)
+        got = spectrum._integer_spectrum(*polynomials._charpoly_factors(pencil.A, pencil.B))
     assert got == integer_roots(full)
     (rest,) = scanned
     return Counter(got[0]) - Counter(integer_roots(rest)[0])

@@ -9,9 +9,13 @@ from scipy.optimize import linear_sum_assignment
 import oracles
 from goldfish import polynomials, spectrum
 from goldfish.cli import main
-from goldfish.equilibria import cbar_closed_form, expand_iso_psi
+from goldfish.equilibria import (
+    cbar_closed_form,
+    enumerate_altgold_equilibria,
+    enumerate_iso_equilibria,
+    expand_iso_psi,
+)
 from goldfish.polynomials import (
-    CertificateError,
     IntegerPolynomial,
     RationalMatrix,
     integer_roots,
@@ -73,6 +77,22 @@ def test_pencil_shapes_are_checked():
 def test_pencil_refuses_cbar_entries_that_are_not_finite_rationals(bad):
     with pytest.raises(ValueError):
         build_pencil([Fraction(1, 2), bad])
+
+
+def test_pencil_refuses_a_rational_time_equilibrium():
+    """Only an isochronous equilibrium is linearised: a rational-time one
+    (plain convention, another recurrence) is refused with its family
+    named, while its bare ``cbar`` is still read as numbers."""
+    for config in (
+        enumerate_altgold_equilibria(4, Fraction(1, 2))[0],
+        enumerate_altgold_equilibria(3, 1)[-1],
+        enumerate_altgold_equilibria(6, 2)[-1],
+    ):
+        with pytest.raises(ValueError, match=config.family.value):
+            build_pencil(config)
+        assert build_pencil(config.cbar).N == config.N
+    iso = enumerate_iso_equilibria(4)[-1]
+    assert build_pencil(iso) == build_pencil(iso.cbar)
 
 
 def test_pencil_triangular_at_trivial_equilibrium():
@@ -307,29 +327,45 @@ def test_integrality_free_constant_samples():
     assert rep.all_integers
 
 
-def test_integrality_refuses_a_charpoly_without_a_tail_root():
-    """Each integer root of a tail quadratic is deflated off the charpoly;
-    one that leaves a remainder is a CertificateError, not a report."""
+def test_integrality_reads_a_triangular_pencil_off_its_discriminants(monkeypatch):
+    """A triangular pencil (``s = 0``) has a leading factor of one: every
+    root comes off a tail quadratic's discriminant and the root scan sees
+    only the constant.  Over ``D = 2`` the tail quadratics
+    ``(p - 1)(p - 2)``, ``(p - 1)(p - 1/2)`` and ``p^2 + 1`` leave the
+    remainder ``(p - 1/2)(p^2 + 1)``: the one-root cofactor and the
+    quadratic without an integer root."""
+    scanned = []
+    monkeypatch.setattr(spectrum, "integer_roots", lambda q: scanned.append(q) or integer_roots(q))
     ladder = build_pencil([0, 0])  # tail quadratics (p - 1)(p - 2), (p - 2)(p - 3)
-    assert spectrum._integer_spectrum(ladder, pencil_charpoly_exact(ladder.A, ladder.B)) == (
-        [1, 2, 2, 3],
-        IntegerPolynomial([1]),
-    )
-    with pytest.raises(CertificateError, match="tail"):
-        spectrum._integer_spectrum(ladder, IntegerPolynomial.from_integer_roots([1, 2, 3, 4]))
+    factors = polynomials._charpoly_factors(ladder.A, ladder.B)
+    assert factors == ([1], 1, [(2, -3, 1), (6, -5, 1)])
+    assert spectrum._integer_spectrum(*factors) == ([1, 2, 2, 3], IntegerPolynomial([1]))
+    h = Fraction(1, 2)
+    A = [[-3, 5, h], [0, -3 * h, 7], [0, 0, 0]]
+    B = [[2, -1, 4], [0, h, h], [0, 0, 1]]
+    factors = polynomials._charpoly_factors(RationalMatrix(A), RationalMatrix(B))
+    assert factors == ([1], 1, [(4, -6, 2), (1, -3, 2), (2, 0, 2)])
+    roots, rem = spectrum._integer_spectrum(*factors)
+    assert (roots, rem) == ([1, 1, 2], IntegerPolynomial([-h, 1, -h, 1]))
+    assert (roots, rem) == integer_roots(pencil_charpoly_exact(A, B))
+    assert [q.numerators for q in scanned] == [(1,), (1,)]
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_integrality_split_equals_the_full_scan_on_grid(n):
     """Every ``verify_integrality`` sample of size n, on each c_1 shift of
-    the oracle test, reports the charpoly, roots and remainder of the
-    unsplit scan of the full charpoly.  At integer ``mu`` the kernel sees a
-    leading block of at most ``mu`` rows, shifted or not."""
+    the oracle test, holds the pencil that ``build_pencil`` makes of the
+    shifted ``cbar_closed_form`` and reports the charpoly, roots and
+    remainder of the unsplit scan of the full charpoly.  At integer ``mu``
+    the kernel sees a leading block of at most ``mu`` rows, shifted or
+    not."""
     for nu in (0, 1, 3, 4, 5):
         for mu in range(nu, n + 1):
             for delta in (0, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2)):
                 rep = verify_integrality(nu, mu, n, perturb_c1=delta)
                 for sample in rep.samples:
+                    cb = cbar_closed_form(nu, mu, n, sample.free)
+                    assert sample.pencil == build_pencil((cb[0] + delta,) + cb[1:])
                     A, B = sample.pencil.A, sample.pencil.B
                     assert polynomials._block_split(A, B)[2] <= mu
                     full = pencil_charpoly_exact(A, B)
