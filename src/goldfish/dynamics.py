@@ -307,34 +307,16 @@ def eval_rhs(spec: ModelSpec, state):
     """Second derivative of the state under the named system.
 
     Returns an acceleration vector for particle and coefficient states
-    and a matrix for matrix-flow states, exactly term by term as the
-    equations of motion read, including the boundary conventions of the
-    coefficient systems.
+    and a matrix for matrix-flow states: the second half of the
+    first-order field that :func:`simulate` integrates, after the state
+    is checked for kind, size and (particles) collisions.
     """
-    if isinstance(state, ParticleState):
-        if spec.system not in _PARTICLE:
-            raise ValueError(f"{spec.system.value} does not evolve a particle state")
-        z, v = state.z, state.zdot
-        if z.size != spec.N:
-            raise ValueError(f"state has {z.size} particles, spec.N = {spec.N}")
-        _distinct_check(z.size)(z)
-        return _particle_acceleration(spec)(z, v)
-
-    if isinstance(state, CoefficientState):
-        if spec.system not in _COEFFICIENT:
-            raise ValueError(f"{spec.system.value} does not evolve a coefficient state")
-        if state.c.size != spec.N:
-            raise ValueError(f"state has {state.c.size} coefficients, spec.N = {spec.N}")
-        return _coefficient_rhs(spec, state.c, state.cdot)
-
-    if isinstance(state, MatrixFlowState):
-        if spec.system not in _MATRIX:
-            raise ValueError(f"{spec.system.value} does not evolve a matrix state")
-        if state.U.shape[0] != spec.N:
-            raise ValueError(f"state is {state.U.shape[0]}x..., spec.N = {spec.N}")
-        return _matrix_rhs(spec, state.U, state.Udot)
-
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+    y = _state_vector(spec, state)
+    half = y.size // 2
+    if spec.system in _PARTICLE:
+        _distinct_check(spec.N)(y[:half])
+    acc = _first_order_rhs(spec, None)(0.0, y)[half:]
+    return acc.reshape(spec.N, spec.N) if spec.system in _MATRIX else acc
 
 
 def _iso_bracket(c, w, ms):
@@ -408,9 +390,8 @@ def build_matrix_initial_data(spec: ModelSpec, state0: ParticleState) -> MatrixF
     start velocity is ``diag(zdot)`` with constant off-diagonal entries
     ``-g / (z_n - z_m)``.
     """
+    _state_vector(spec, state0)
     z, v = state0.z, state0.zdot
-    if z.size != spec.N:
-        raise ValueError(f"state has {z.size} particles, spec.N = {spec.N}")
     _distinct_check(z.size)(z)
     U0 = np.diag(z).astype(complex)
     if spec.system in (System.RCM, System.VESELOV):
@@ -508,21 +489,36 @@ class SimulationResult:
         return self.trajectory.states[:, half:]
 
 
-def _state_to_vector(state) -> np.ndarray:
+def _state_vector(spec: ModelSpec, state) -> np.ndarray:
+    """The flat ``[values, velocities]`` vector of ``state`` (matrices row
+    by row), after checking that ``spec.system`` evolves a state of its
+    kind and size."""
     if isinstance(state, ParticleState):
-        return np.concatenate([state.z, state.zdot])
-    if isinstance(state, CoefficientState):
-        return np.concatenate([state.c, state.cdot])
-    if isinstance(state, MatrixFlowState):
-        return np.concatenate([state.U.ravel(), state.Udot.ravel()])
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+        kind, systems, parts = "particle", _PARTICLE, (state.z, state.zdot)
+    elif isinstance(state, CoefficientState):
+        kind, systems, parts = "coefficient", _COEFFICIENT, (state.c, state.cdot)
+    elif isinstance(state, MatrixFlowState):
+        kind, systems, parts = "matrix", _MATRIX, (state.U.ravel(), state.Udot.ravel())
+    else:
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    if spec.system not in systems:
+        raise ValueError(f"{spec.system.value} does not evolve a {kind} state")
+    y = np.concatenate(parts)
+    n = spec.N
+    size = 2 * n * n if kind == "matrix" else 2 * n
+    if y.size != size:
+        raise ValueError(
+            f"state has {y.size} components, {spec.system.value} with N = {n} needs {size}"
+        )
+    return y
 
 
 def _first_order_rhs(spec: ModelSpec, time_path):
     """First-order complexified vector field on the flat state of ``spec``
     (length ``2 N``, or ``2 N^2`` for a matrix flow), optionally along the
-    trick path.  It checks nothing: :func:`simulate` checks the initial
-    state and the integrator checks for collisions at accepted steps."""
+    trick path.  It checks nothing: :func:`simulate` and :func:`eval_rhs`
+    check the state first, and the integrator checks for collisions at
+    accepted steps."""
     n = spec.N
     if spec.system in _MATRIX:
         nn = n * n
@@ -558,7 +554,7 @@ def _matrix_flow_sampler(spec: ModelSpec, init: MatrixFlowState, t_samples, tol)
     if spec.system is System.RCM:
         return _closed_form_rcm(init)
     mspec = _matrix_companion(spec)
-    y0 = _state_to_vector(init)
+    y0 = _state_vector(mspec, init)
     t0, t1 = float(t_samples[0]), float(t_samples[-1])
     rhs = _first_order_rhs(mspec, None)
     if t1 > t0:
@@ -623,15 +619,10 @@ def simulate(
     t_samples = np.asarray(t_samples, dtype=float)
     if t_samples.ndim != 1 or t_samples.size < 1:
         raise ValueError("t_samples must be a non-empty 1-d array")
+    y0 = _state_vector(spec, state0)
+    n = spec.N
 
     if method == "direct":
-        y0 = _state_to_vector(state0)
-        n = spec.N
-        size = 2 * n * n if spec.system in _MATRIX else 2 * n
-        if y0.size != size:
-            raise ValueError(
-                f"state has {y0.size} components, {spec.system.value} with N = {n} needs {size}"
-            )
         t0, t1 = float(t_samples[0]), float(t_samples[-1])
         if t1 == t0:
             traj = Trajectory(t_samples, np.array([y0]))
@@ -656,12 +647,12 @@ def simulate(
 
     if spec.system in _COEFFICIENT:
         conv = TILDE if spec.system is System.ALTISOGOLD else PLAIN
-        poly = MonicPolynomial(np.concatenate([[1.0 + 0j], state0.c]), conv)
+        poly = MonicPolynomial(np.concatenate([[1.0 + 0j], y0[:n]]), conv)
         z0 = find_roots(poly, tol=_ROOT_TOL)
         _distinct_check(z0.size)(z0)
         # velocity of each zero from the coefficient velocities:
         # zdot_k = -psi_t(z_k) / psi'(z_k)
-        plaind = conv.unstrip(np.concatenate([[0.0 + 0j], state0.cdot]))[1:]
+        plaind = conv.unstrip(np.concatenate([[0.0 + 0j], y0[n:]]))[1:]
         num = np.polyval(plaind, z0)
         particle0 = ParticleState(z0, -num / _simple_zero_slopes(poly, z0))
         particle_system = System.GOLD if spec.system is System.ALTGOLD else System.ISOGOLD

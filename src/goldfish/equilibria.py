@@ -353,31 +353,22 @@ def enumerate_altgold_equilibria(N: int, a, free_samples=DEFAULT_FREE_SAMPLES):
     if N < 1:
         raise ValueError("N must be positive")
     a = Fraction(a)
-    configs = []
-    for mu in range(N + 1):
-        cbar = expand_altgold_psi(Family.ALTGOLD_BINOMIAL, N, a, mu)
-        configs.append(
-            EquilibriumConfig(Family.ALTGOLD_BINOMIAL, N, 0, mu, {"a": a}, cbar)
+    # (family, nu, mu, free constant) of every cell; the binomial family has none
+    frees = [{"c": Fraction(c)} for c in free_samples]
+    cells = [(Family.ALTGOLD_BINOMIAL, 0, mu, {}) for mu in range(N + 1)]
+    cells += [(Family.ALTGOLD_NU2, 2, mu, free) for mu in range(N - 1) for free in frees]
+    cells += [
+        (Family.ALTGOLD_NU5PLUS, nu, mu, free)
+        for nu in range(5, N + 1)
+        for mu in range(N - nu + 1)
+        for free in frees
+    ]
+    return [
+        EquilibriumConfig(
+            family, N, nu, mu, {"a": a, **free}, expand_altgold_psi(family, N, a, mu, nu, **free)
         )
-    if N >= 2:
-        for mu in range(N - 1):
-            for c in free_samples:
-                cbar = expand_altgold_psi(Family.ALTGOLD_NU2, N, a, mu, c=c)
-                configs.append(
-                    EquilibriumConfig(
-                        Family.ALTGOLD_NU2, N, 2, mu, {"a": a, "c": Fraction(c)}, cbar
-                    )
-                )
-    for nu in range(5, N + 1):
-        for mu in range(N - nu + 1):
-            for c in free_samples:
-                cbar = expand_altgold_psi(Family.ALTGOLD_NU5PLUS, N, a, mu, nu=nu, c=c)
-                configs.append(
-                    EquilibriumConfig(
-                        Family.ALTGOLD_NU5PLUS, N, nu, mu, {"a": a, "c": Fraction(c)}, cbar
-                    )
-                )
-    return configs
+        for family, nu, mu, free in cells
+    ]
 
 
 # ---------------------------------------------------------------------------

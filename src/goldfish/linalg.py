@@ -309,14 +309,18 @@ def _match_step(current: np.ndarray, new: np.ndarray, index: int) -> np.ndarray:
     return perm
 
 
-def _walk(times, frames, refine=None, max_refine=4000) -> TrackedPaths:
+# frames that one walk may insert before an ambiguity is final
+_MAX_REFINE = 4000
+
+
+def _walk(times, frames, refine=None) -> TrackedPaths:
     """Eigenvalue branches over ``times``, one frame per requested time.
 
     The frames are walked left to right, matching the current frame
     against the next one only.  An ambiguous matching asks ``refine(t)``
     for the frame at the midpoint of its interval and matches that first,
     until every matching is provably unambiguous; only the requested times
-    are reported.  With no ``refine``, or after ``max_refine`` inserted
+    are reported.  With no ``refine``, or after ``_MAX_REFINE`` inserted
     frames, the ambiguity raises :class:`AmbiguousTrackingError`.
     """
     lo = times[0]
@@ -333,7 +337,7 @@ def _walk(times, frames, refine=None, max_refine=4000) -> TrackedPaths:
                 perm = _match_step(current, new, walked)
             except AmbiguousTrackingError:
                 mid = 0.5 * (lo + hi)
-                if refine is None or inserted >= max_refine or mid in (lo, hi) or hi - lo < 1e-12:
+                if refine is None or inserted >= _MAX_REFINE or mid in (lo, hi) or hi - lo < 1e-12:
                     raise
                 pending.append((mid, refine(mid)))
                 inserted += 1

@@ -61,7 +61,14 @@ from goldfish.linalg import (
     _match_step,
     eigenvalues,
 )
-from goldfish.equilibria import Family, RecursionSolution, solve_phi_recursion
+from goldfish.equilibria import (
+    DEFAULT_FREE_SAMPLES,
+    EquilibriumConfig,
+    Family,
+    RecursionSolution,
+    expand_altgold_psi,
+    solve_phi_recursion,
+)
 from goldfish.polynomials import IntegerPolynomial, RationalMatrix
 from goldfish.spectrum import QuadraticPencil
 
@@ -320,6 +327,30 @@ def altgold_binomial_closed_form(N: int, a, mu: int):
             s += Fraction(-1) ** el * math.comb(mu, el) * math.comb(N - mu, m - el)
         out.append(a ** m * s)
     return tuple(out)
+
+
+def enumerate_altgold_equilibria(N: int, a, free_samples=DEFAULT_FREE_SAMPLES):
+    """The rational-time equilibrium cells, one loop per family: the
+    binomial family by ``mu``, then the quadratic family and the tail
+    families by ``(nu,) mu`` and free constant."""
+    a = Fraction(a)
+    configs = []
+    for mu in range(N + 1):
+        cbar = expand_altgold_psi(Family.ALTGOLD_BINOMIAL, N, a, mu)
+        configs.append(EquilibriumConfig(Family.ALTGOLD_BINOMIAL, N, 0, mu, {"a": a}, cbar))
+    if N >= 2:
+        for mu in range(N - 1):
+            for c in free_samples:
+                cbar = expand_altgold_psi(Family.ALTGOLD_NU2, N, a, mu, c=c)
+                free = {"a": a, "c": Fraction(c)}
+                configs.append(EquilibriumConfig(Family.ALTGOLD_NU2, N, 2, mu, free, cbar))
+    for nu in range(5, N + 1):
+        for mu in range(N - nu + 1):
+            for c in free_samples:
+                cbar = expand_altgold_psi(Family.ALTGOLD_NU5PLUS, N, a, mu, nu=nu, c=c)
+                free = {"a": a, "c": Fraction(c)}
+                configs.append(EquilibriumConfig(Family.ALTGOLD_NU5PLUS, N, nu, mu, free, cbar))
+    return configs
 
 
 def exact_binomial(x, k: int) -> Fraction:

@@ -161,11 +161,72 @@ def test_close_simple_zeros_pass_the_repeated_zero_check():
 
 def test_rhs_shape_mismatch():
     spec = ModelSpec(System.GOLD, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^state has 4 components, gold with N = 3 needs 6$"):
         eval_rhs(spec, ParticleState([1.0, 2.0], [0.0, 0.0]))
     # the compiled field does not check sizes, so simulate must
     with pytest.raises(ValueError):
         simulate(ModelSpec(System.GOLD, 1), ParticleState([1.0, 2.0], [0.0, 0.0]), [0.0, 1.0])
+    U = np.eye(2)
+    with pytest.raises(ValueError, match="^state has 8 components, matrix_u with N = 3 needs 18$"):
+        simulate(ModelSpec(System.MATRIX_U, 3), MatrixFlowState(U, U), [0.0, 0.1])
+
+
+@pytest.mark.parametrize(
+    "spec, state, error, message",
+    [
+        (
+            ModelSpec(System.ALTGOLD, 3, a2=1.0),
+            ParticleState([0.3, -0.2, 0.1j], [0.1, 0.0, 0.2]),
+            ValueError,
+            "altgold does not evolve a particle state",
+        ),
+        (
+            ModelSpec(System.GOLD, 2),
+            CoefficientState([0.1, -0.2], [0.0, 0.1]),
+            ValueError,
+            "gold does not evolve a coefficient state",
+        ),
+        (
+            ModelSpec(System.MATRIX_U, 1, a2=1.0),
+            ParticleState([0.4], [0.1]),
+            ValueError,
+            "matrix_u does not evolve a particle state",
+        ),
+        (ModelSpec(System.GOLD, 1), ([1.0], [0.0]), TypeError, "unsupported state type tuple"),
+    ],
+    ids=["altgold-particle", "gold-coefficient", "matrix_u-particle", "gold-tuple"],
+)
+def test_state_of_another_kind_is_refused_by_name(spec, state, error, message):
+    """A state of a kind the system does not evolve, even one of the right
+    length, is refused with the system and the kind named, by every entry
+    point that reads a state; a state of no known kind is a TypeError."""
+    for call in (
+        lambda: simulate(spec, state, [0.0, 0.1]),
+        lambda: simulate(spec, state, [0.0, 0.1], method="spectral"),
+        lambda: eval_rhs(spec, state),
+        lambda: build_matrix_initial_data(spec, state),
+    ):
+        with pytest.raises(error, match=f"^{message}$"):
+            call()
+
+
+@pytest.mark.parametrize("system", [System.MATRIX_U, System.MATRIX_UTILDE, System.MATRIX_GENERAL])
+def test_matrix_eval_rhs_bit_identical_to_matrix_rhs(system):
+    """On a matrix state eval_rhs returns the N x N acceleration of the
+    matrix flow, bit for bit."""
+    rng = np.random.default_rng(26)
+    draw = lambda shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for n in range(1, 6):
+        for _ in range(10):
+            spec = ModelSpec(
+                system,
+                n,
+                a2=complex(*rng.standard_normal(2)) if system is System.MATRIX_U else 0.0,
+                phi_poly=tuple(draw(4)),
+            )
+            U, V = draw((n, n)), draw((n, n))
+            got = eval_rhs(spec, MatrixFlowState(U, V))
+            assert same_bits(got, dynamics._matrix_rhs(spec, U, V)), (system, n)
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +671,11 @@ def test_compiled_rhs_bit_identical_to_oracle(time_path):
                 assert same_bits(got, field), (system, n)
 
 
-def _walk_sampler(sampler, t_samples, max_refine=4000):
+def _walk_sampler(sampler, t_samples):
     """The spectral route's walk: the frames of the requested times, and a
     refinement built from the same sampler."""
     frame = lambda t: eigenvalues(sampler(t)[0])
-    return linalg._walk(t_samples, [frame(float(t)) for t in t_samples], frame, max_refine)
+    return linalg._walk(t_samples, [frame(float(t)) for t in t_samples], frame)
 
 
 def _gold_samplers(t):
@@ -652,7 +713,7 @@ def test_walk_slots_index_the_requested_frames():
     assert inserted > 0
 
 
-def test_spectral_frames_equal_oracle():
+def test_spectral_frames_equal_oracle(monkeypatch):
     """Local refinement makes the same matches, inserts the same frames
     and gives up on the same interval as tracking the whole frame list
     again after every inserted midpoint."""
@@ -677,12 +738,17 @@ def test_spectral_frames_equal_oracle():
         inserted += len(got_calls) - t.size
         for max_refine in (1, 3):
             errors = []
-            for frames in (_walk_sampler, oracles.spectral_frames):
-                try:
-                    frames(sampler, t, max_refine=max_refine)
-                    errors.append(None)
-                except AmbiguousTrackingError as exc:
-                    errors.append((exc.index, exc.displacement, exc.gap))
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_MAX_REFINE", max_refine)
+                for run in (
+                    lambda: _walk_sampler(sampler, t),
+                    lambda: oracles.spectral_frames(sampler, t, max_refine=max_refine),
+                ):
+                    try:
+                        run()
+                        errors.append(None)
+                    except AmbiguousTrackingError as exc:
+                        errors.append((exc.index, exc.displacement, exc.gap))
             assert errors[0] == errors[1]
             refused += errors[0] is not None
     assert inserted > 0 and refused > 0

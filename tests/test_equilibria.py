@@ -288,6 +288,18 @@ def test_special_pair_is_binomial_family_ends():
             assert all(r == 0 for r in equilibrium_residual(cfg))
 
 
+def test_altgold_enumeration_order_equals_oracle():
+    """The rational-time cells come in the order of one loop per family:
+    binomial by mu, then the quadratic family by mu and free constant, then
+    the tail families by nu, mu and free constant."""
+    for N in range(1, 10):
+        for a in (Fraction(1), Fraction(1, 2), Fraction(-3)):
+            for free_samples in (DEFAULT_FREE_SAMPLES, (Fraction(0),), ()):
+                got = enumerate_altgold_equilibria(N, a, free_samples)
+                want = oracles.enumerate_altgold_equilibria(N, a, free_samples)
+                assert got == want, (N, a, free_samples)
+
+
 def test_altgold_residuals_exactly_zero():
     for N in (1, 2, 3, 4, 5, 6):
         for a in (Fraction(1), Fraction(2), Fraction(1, 2)):

@@ -254,7 +254,7 @@ def _reference_cases():
     yield "altisogold N = 3", field(System.ALTISOGOLD, 3), c0, period, samples(period, 33)
     gold = ModelSpec(System.GOLD, 3, a2=-1.0)
     init = dynamics.build_matrix_initial_data(gold, ParticleState(draw(3, 0.5), draw(3, 0.3)))
-    u0 = dynamics._state_to_vector(init)
+    u0 = dynamics._state_vector(ModelSpec(System.MATRIX_U, 3, a2=-1.0), init)
     dense = dict(t_eval=[0.0, 1.5], return_dense=True, tol=1e-11)
     yield "matrix-u, dense", field(System.MATRIX_U, 3, a2=-1.0), u0, 1.5, dense
     trick = field(System.ISOGOLD, 3, "trick")
