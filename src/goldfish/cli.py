@@ -11,8 +11,8 @@ Exit codes: 0 success / verified, 1 verification or runtime failure
 ``GoldfishError``, such as an exact characteristic polynomial that fails
 its certificate, or an ``ArithmeticError``), 2 usage or validation error
 (an output path that cannot be written included; a path whose directory
-is missing is refused before any work starts).  Past argument parsing,
-each failure is one stderr line.
+is missing, or a sweep grid with no cell, is refused before any work
+starts).  Past argument parsing, each failure is one stderr line.
 """
 
 from __future__ import annotations
@@ -427,7 +427,7 @@ def _sweep_cell(payload):
             return key, {"pass": res.match, "detail": detail}
         res = spectrum.verify_conjectures("c217", nu, Fraction(mu), n, free)
         return key, {"pass": res.contained, "detail": res.max_match_error}
-    except Exception as exc:  # keep the sweep alive; record the cell error
+    except (GoldfishError, ArithmeticError, ValueError) as exc:  # a failed cell, not a bug
         return key, {"pass": False, "detail": f"error: {exc}"}
 
 
@@ -442,6 +442,8 @@ def cmd_sweep(args) -> int:
         for nu in nus:
             mus = mu_list or [Fraction(m) for m in range(nu, n + 1)]
             grid += [(nu, mu, n) for mu in mus]
+    if not grid:
+        raise UsageError("the grid holds no (nu, mu, N) cell, so it would verify nothing")
     perturb_key, perturb_val = None, Fraction(0)
     if args.perturb:
         cell, _, delta = args.perturb.partition(":")
@@ -458,17 +460,14 @@ def cmd_sweep(args) -> int:
     ]
 
     workers = _thread_count(args.threads)
-    results = {}
-    if cells:
-        if workers > 1:
-            try:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    for key, value in pool.map(_sweep_cell, cells):
-                        results[key] = value
-            except OSError:
-                results = dict(map(_sweep_cell, cells))
-        else:
+    if workers > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = dict(pool.map(_sweep_cell, cells))
+        except OSError:
             results = dict(map(_sweep_cell, cells))
+    else:
+        results = dict(map(_sweep_cell, cells))
     ordered = {k: results[k] for k in sorted(results)}
     failures = [k for k, v in ordered.items() if not v["pass"]]
     wall = round(time.perf_counter() - args._t0, 3) if args.timing else None

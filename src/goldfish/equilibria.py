@@ -18,7 +18,9 @@ convention ``c_1..c_N`` are the coefficients of the one series
 For the rational-time system each of the three families is
 ``inner(z) (z - a)^mu (z + a)^(N - mu - deg inner)`` in the plain
 convention: a binomial one (``inner = 1``) and two carrying a free
-constant.
+constant.  The tail family's ``inner`` is ``sum_m chi_m a^m (z + a)^(nu - m)``,
+whose ``chi_m`` obey a two-term recurrence of the core one's shape:
+:func:`_two_term` solves both.
 """
 
 from __future__ import annotations
@@ -95,36 +97,6 @@ class RecursionSolution:
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial helpers (descending coefficient lists, index = power drop)
-
-
-def _conv(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _gcd_degree(p, q) -> int:
-    """Degree of ``gcd(p, q)`` by Euclid over the rationals (descending
-    coefficient lists with nonzero leading coefficients)."""
-    while q:
-        r = list(p)
-        while len(r) >= len(q):
-            f = r[0] / q[0]
-            for k in range(1, len(q)):
-                r[k] -= f * q[k]
-            r.pop(0)
-        while r and r[0] == 0:
-            r.pop(0)
-        p, q = q, r
-    return len(p) - 1
-
-
-# ---------------------------------------------------------------------------
 # the core-polynomial recurrences
 
 
@@ -148,21 +120,29 @@ def _phi_factor(nu: int, m: int) -> tuple[int, int]:
     return (m - nu - 1) * (m * (2 - nu) + 3 * nu), 2 - nu
 
 
-def _phi_coefficients(nu: int, c, top: int) -> tuple[list[int], int]:
-    """``phi_0..phi_top`` by the core recurrence, as integer numerators
-    over one denominator ``E``; the free ``phi_5`` is ``-(1 + c)`` at
-    ``nu = 5`` and ``c`` above it."""
-    phi, E = [1], 1
+def _chi_factor(nu: int, m: int) -> tuple[int, int]:
+    """Right-side factor ``2 (nu + 1 - m)(3 - m)`` of the tail recurrence
+    ``m (m - 5) chi_m = factor * chi_(m-1)``, with the ``chi_1 = -nu`` it
+    forces put in (so ``chi_3 = chi_4 = 0``), over denominator 1."""
+    return 2 * (nu + 1 - m) * (3 - m), 1
+
+
+def _two_term(factor, nu: int, free, top: int) -> tuple[list[int], int]:
+    """``x_0..x_top`` of the two-term recurrence
+    ``m (m - 5) x_m = factor(nu, m) x_(m-1)`` from ``x_0 = 1``, as integer
+    numerators over one denominator ``E``; ``x_5``, which the recurrence
+    leaves free, is ``free``."""
+    x, E = [1], 1
     for m in range(1, top + 1):
         if m == 5:
-            free = -(1 + Fraction(c)) if nu == 5 else Fraction(c)
+            free = Fraction(free)
             last, scale = free.numerator * E, free.denominator
         else:
-            num, den = _phi_factor(nu, m)
-            last, scale = num * phi[-1], m * (m - 5) * den
-        phi = [x * scale for x in phi] + [last]
+            num, den = factor(nu, m)
+            last, scale = num * x[-1], m * (m - 5) * den
+        x = [v * scale for v in x] + [last]
         E *= scale
-    return phi, E
+    return x, E
 
 
 def solve_phi_recursion(nu: int, c: Fraction = Fraction(0)) -> RecursionSolution:
@@ -184,7 +164,8 @@ def solve_phi_recursion(nu: int, c: Fraction = Fraction(0)) -> RecursionSolution
 
 
 def _core_polynomial(nu: int, c) -> tuple[list[int], int]:
-    """:func:`_phi_coefficients` of a degree that has a core polynomial."""
+    """:func:`_two_term` for a degree that has a core polynomial; the free
+    ``phi_5`` is ``-(1 + c)`` at ``nu = 5`` and ``c`` above it."""
     if nu == 2:
         raise ValueError("nu = 2 is excluded: the normalisation constraint fails")
     if nu not in ISO_NU_VALUES and nu != RESONANT_NU:
@@ -193,7 +174,7 @@ def _core_polynomial(nu: int, c) -> tuple[list[int], int]:
             f"no degree-{nu} core polynomial: at m = {m} the recurrence "
             f"demands {lhs} * phi_{m} = {rhs} with zero left coefficient"
         )
-    return _phi_coefficients(nu, c, nu)
+    return _two_term(_phi_factor, nu, -(1 + Fraction(c)) if nu == 5 else c, nu)
 
 
 def phi_recursion_obstruction(nu: int):
@@ -207,7 +188,7 @@ def phi_recursion_obstruction(nu: int):
     if nu < 6 or nu == 2:
         raise ValueError("an obstruction exists only for nu >= 6")
     m = 5
-    phi, E = _phi_coefficients(nu, 0, m - 1)
+    phi, E = _two_term(_phi_factor, nu, 0, m - 1)
     rhs = Fraction(*_phi_factor(nu, m)) * phi[-1] / E
     if rhs == 0:
         raise ResonantBranchError(
@@ -322,27 +303,21 @@ def expand_altgold_psi(family: Family, N: int, a, mu: int, nu: int = 0, c=Fracti
     elif family is Family.ALTGOLD_NU2:
         if N < 2 or not 0 <= mu <= N - 2:
             raise ValueError("quadratic family needs N >= 2 and 0 <= mu <= N - 2")
-        inner = [Fraction(1), c, (c * c - a * a) / 3]
+        inner = [(c * c - a * a) / 3, c, Fraction(1)]
     elif family is Family.ALTGOLD_NU5PLUS:
         if not (5 <= nu <= N and 0 <= mu <= N - nu):
             raise ValueError("tail family needs 5 <= nu <= N and 0 <= mu <= N - nu")
-        # sum_j beta_j (z + a)^(nu - j), by Horner in (z + a)
-        betas = [-nu * a, Fraction(nu * (nu - 1), 3) * a * a, 0, 0] + [
-            c
-            * Fraction((-2) ** e, (e + 5) * (e + 4) * (e + 3))
-            * math.comb(nu - 5, e)
-            * a ** (e + 5)
-            for e in range(nu - 4)
-        ]
+        # sum_m chi_m a^m (z + a)^(nu - m), by Horner in (z + a); chi_5 = c/60
+        chi, E = _two_term(_chi_factor, nu, c / 60, nu)
         inner = [Fraction(1)]
-        for beta in betas:
-            inner = _conv(inner, [Fraction(1), a])
-            inner[-1] += beta
+        for m in range(1, nu + 1):
+            inner = _linear_product([-a], inner)
+            inner[0] += Fraction(chi[m], E) * a**m
     else:
         raise ValueError(f"not a rational-time family: {family}")
-    # (z - a)^mu (z + a)^(N - mu - deg inner), descending
-    outer = _linear_product([a] * mu + [-a] * (N - mu - (len(inner) - 1)))[::-1]
-    seq = _conv(inner, outer)
+    # inner (z - a)^mu (z + a)^(N - mu - deg inner), built ascending
+    roots = [a] * mu + [-a] * (N - mu - (len(inner) - 1))
+    seq = _linear_product(roots, inner)[::-1]
     assert seq[0] == 1 and len(seq) == N + 1
     return tuple(seq[1:])
 
@@ -400,6 +375,22 @@ class GenuinenessReport:
     verdict: str  # "GENUINE" | "DEGENERATE"
     distinct_roots: int
     necessary_condition_met: bool | None
+
+
+def _gcd_degree(p, q) -> int:
+    """Degree of ``gcd(p, q)`` by Euclid over the rationals (descending
+    coefficient lists with nonzero leading coefficients)."""
+    while q:
+        r = list(p)
+        while len(r) >= len(q):
+            f = r[0] / q[0]
+            for k in range(1, len(q)):
+                r[k] -= f * q[k]
+            r.pop(0)
+        while r and r[0] == 0:
+            r.pop(0)
+        p, q = q, r
+    return len(p) - 1
 
 
 def genuineness_check(config: EquilibriumConfig) -> GenuinenessReport:

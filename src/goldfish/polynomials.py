@@ -334,15 +334,15 @@ def _horner(coeffs, x):
     return acc
 
 
-def _linear_product(roots) -> list:
-    """Ascending coefficients of ``prod (x - r)`` over ``roots``, by
-    synthetic multiplication.
+def _linear_product(roots, start=(1,)) -> list:
+    """Ascending coefficients of ``start * prod (x - r)`` over ``roots``,
+    by synthetic multiplication (``start`` ascending too).
 
     Generic over the scalar type of ``roots`` (``int`` roots give ``int``
-    coefficients, ``Fraction`` roots ``Fraction`` ones); the leading
-    coefficient is the ``int`` one.
+    coefficients, ``Fraction`` roots ``Fraction`` ones); with the default
+    ``start`` the leading coefficient is the ``int`` one.
     """
-    c = [1]
+    c = list(start)
     for r in roots:
         c = [0] + c
         for k in range(len(c) - 1):

@@ -14,10 +14,15 @@ the same computations on plain integers and must reproduce these results
 exactly.  The isochronous equilibria are kept here as the paper's
 binomial closed forms, one per core degree, over a falling-factorial
 binomial: the library derives every one of them from the core recurrence
-as a single series.  The polynomial sum and product
-the tests build expected polynomials with live here too, and so does the
-Sylvester determinant of ``P`` and ``P'``, the independent check of the
-library's squarefree genuineness test.
+as a single series.  The rational-time families are kept here as
+closed forms too, the tail family by its hand-solved ``(z + a)``-basis
+coefficients, multiplied out one ``Fraction`` product at a time: the
+library solves the tail family's recurrence and multiplies by linear
+factors.  The rational-time recurrence itself is kept here as a
+``Fraction`` solver of its own, with its exact residuals.  The polynomial
+sum and product the tests build expected polynomials with live here too,
+and so does the Sylvester determinant of ``P`` and ``P'``, the independent
+check of the library's squarefree genuineness test.
 
 The simulation path is kept here in its per-state form (particle
 accelerations read the spec's constants on every call, eigenvalue paths
@@ -38,8 +43,7 @@ samples, interpolant, failure time and accepted steps bit for bit.
 The paper identities that no report uses live here too: the
 generating-polynomial residual of the coefficient dynamics, the quartic
 ODE of the two-body leading coefficient, the off-diagonal compatibility
-identity of the matrix ansatz, the rational-time core recurrence (its
-solver and exact residuals), the algebraic system of the isochronous core
+identity of the matrix ansatz, the algebraic system of the isochronous core
 zeros and the order of a monodromy permutation.  The tests check the
 library's trajectories, equilibria and tracked branches against them; a
 paper identity returns to the library only when a report uses it.
@@ -66,7 +70,6 @@ from goldfish.equilibria import (
     EquilibriumConfig,
     Family,
     RecursionSolution,
-    expand_altgold_psi,
     solve_phi_recursion,
 )
 from goldfish.polynomials import IntegerPolynomial, RationalMatrix
@@ -329,25 +332,54 @@ def altgold_binomial_closed_form(N: int, a, mu: int):
     return tuple(out)
 
 
+def altgold_closed_form(family: Family, N: int, a, mu: int, nu: int = 0, c=Fraction(0)):
+    """Rational-time family coefficients from the closed forms, one
+    ``Fraction`` polynomial product per factor.  The tail family's inner
+    factor is ``sum_j beta_j (z + a)^(nu - j)`` with the hand-solved
+    ``beta_(e + 5) = c (-2)^e C(nu - 5, e) a^(e + 5) / ((e + 5)(e + 4)(e + 3))``."""
+    a, c = Fraction(a), Fraction(c)
+    if family is Family.ALTGOLD_BINOMIAL:
+        inner = [Fraction(1)]  # ascending
+    elif family is Family.ALTGOLD_NU2:
+        inner = [(c * c - a * a) / 3, c, Fraction(1)]
+    else:
+        betas = [-nu * a, Fraction(nu * (nu - 1), 3) * a * a, 0, 0] + [
+            c
+            * Fraction((-2) ** e, (e + 5) * (e + 4) * (e + 3))
+            * math.comb(nu - 5, e)
+            * a ** (e + 5)
+            for e in range(nu - 4)
+        ]
+        inner = [Fraction(1)]
+        for beta in betas:  # Horner in (z + a)
+            inner = _schoolbook(inner, [a, Fraction(1)])
+            inner[0] += beta
+    psi = inner
+    for r in [a] * mu + [-a] * (N - mu - (len(inner) - 1)):
+        psi = _schoolbook(psi, [-r, Fraction(1)])
+    assert len(psi) == N + 1 and psi[-1] == 1
+    return tuple(psi[-2::-1])
+
+
 def enumerate_altgold_equilibria(N: int, a, free_samples=DEFAULT_FREE_SAMPLES):
-    """The rational-time equilibrium cells, one loop per family: the
-    binomial family by ``mu``, then the quadratic family and the tail
-    families by ``(nu,) mu`` and free constant."""
+    """The rational-time equilibrium cells from :func:`altgold_closed_form`,
+    one loop per family: the binomial family by ``mu``, then the quadratic
+    family and the tail families by ``(nu,) mu`` and free constant."""
     a = Fraction(a)
     configs = []
     for mu in range(N + 1):
-        cbar = expand_altgold_psi(Family.ALTGOLD_BINOMIAL, N, a, mu)
+        cbar = altgold_closed_form(Family.ALTGOLD_BINOMIAL, N, a, mu)
         configs.append(EquilibriumConfig(Family.ALTGOLD_BINOMIAL, N, 0, mu, {"a": a}, cbar))
     if N >= 2:
         for mu in range(N - 1):
             for c in free_samples:
-                cbar = expand_altgold_psi(Family.ALTGOLD_NU2, N, a, mu, c=c)
+                cbar = altgold_closed_form(Family.ALTGOLD_NU2, N, a, mu, c=c)
                 free = {"a": a, "c": Fraction(c)}
                 configs.append(EquilibriumConfig(Family.ALTGOLD_NU2, N, 2, mu, free, cbar))
     for nu in range(5, N + 1):
         for mu in range(N - nu + 1):
             for c in free_samples:
-                cbar = expand_altgold_psi(Family.ALTGOLD_NU5PLUS, N, a, mu, nu=nu, c=c)
+                cbar = altgold_closed_form(Family.ALTGOLD_NU5PLUS, N, a, mu, nu=nu, c=c)
                 free = {"a": a, "c": Fraction(c)}
                 configs.append(EquilibriumConfig(Family.ALTGOLD_NU5PLUS, N, nu, mu, free, cbar))
     return configs
@@ -578,13 +610,18 @@ def poly_add(p: IntegerPolynomial, q: IntegerPolynomial) -> IntegerPolynomial:
     return IntegerPolynomial(tuple(x + y for x, y in pairs))
 
 
+def _schoolbook(p, q) -> list[Fraction]:
+    """Schoolbook product of two coefficient lists (same order)."""
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
 def poly_mul(p: IntegerPolynomial, q: IntegerPolynomial) -> IntegerPolynomial:
     """Schoolbook product of two exact polynomials."""
-    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for i, a in enumerate(p.coeffs):
-        for j, b in enumerate(q.coeffs):
-            out[i + j] += a * b
-    return IntegerPolynomial(tuple(out))
+    return IntegerPolynomial(tuple(_schoolbook(p.coeffs, q.coeffs)))
 
 
 def conjecture_215_product(nu: int, mu: int, N: int) -> IntegerPolynomial:

@@ -325,14 +325,25 @@ def test_sweep_rejects_bad_perturb(capsys, perturb):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
-def test_sweep_empty_grid(tmp_path):
+def test_sweep_empty_grid(monkeypatch, capsys, tmp_path):
+    """A grid that holds no cell would verify nothing: it is a usage error
+    before any cell runs, and no report is written."""
+
+    def never(payload):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr("goldfish.cli._sweep_cell", never)
     out = tmp_path / "empty.json"
-    code = run(
-        ["sweep", "--which", "integrality", "--nu-list", "", "--n-min", "1",
-         "--n-max", "2", "--threads", "1", "--json", str(out)]
-    )
-    assert code == 0
-    assert json.loads(out.read_text())["results"] == {}
+    for options in (
+        ["--which", "integrality", "--nu-list", "", "--n-min", "1", "--n-max", "2"],
+        ["--which", "integrality", "--nu-list", ","],
+        ["--which", "integrality", "--nu-list", "5", "--n-max", "4"],
+        ["--which", "c215", "--n-min", "5", "--n-max", "3"],
+    ):
+        assert run(["sweep", *options, "--threads", "1", "--json", str(out)]) == 2, options
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "error: the grid holds no (nu, mu, N) cell, so it would verify nothing\n"
 
 
 def test_csv_round_trip(tmp_path):
@@ -526,6 +537,32 @@ def test_sweep_rejects_n_min_below_one(monkeypatch, capsys):
     assert run(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: --n-min must be at least 1\n"
+
+
+def test_sweep_cell_bug_propagates(monkeypatch):
+    """A cell records a failure of the computation as an error cell; any
+    other exception is a bug and leaves the sweep."""
+
+    def buggy(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(spectrum, "verify_integrality", buggy)
+    argv = ["sweep", "--which", "integrality", "--nu-list", "0", "--n-max", "2", "--threads", "1"]
+    with pytest.raises(KeyError, match="bug"):
+        main(argv)
+
+
+def test_sweep_cell_overflow_is_a_recorded_failure(tmp_path):
+    """An ArithmeticError in a cell (here the float solver's overflow at
+    mu = 1e400) is the cell's recorded failure, and the sweep exits 1."""
+    out = tmp_path / "s.json"
+    argv = ["sweep", "--which", "c217", "--nu-list", "0", "--mu-list", "1e400",
+            "--n-min", "5", "--n-max", "5", "--threads", "1", "--json", str(out)]
+    assert run(argv) == 1
+    report = json.loads(out.read_text())
+    (cell,) = report["results"].values()
+    assert cell == {"pass": False, "detail": "error: integer division result too large for a float"}
+    assert report["failures"] == list(report["results"])
 
 
 # Tokens for the string options: unreadable, out-of-range and huge values.

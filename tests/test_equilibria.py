@@ -291,13 +291,37 @@ def test_special_pair_is_binomial_family_ends():
 def test_altgold_enumeration_order_equals_oracle():
     """The rational-time cells come in the order of one loop per family:
     binomial by mu, then the quadratic family by mu and free constant, then
-    the tail families by nu, mu and free constant."""
-    for N in range(1, 10):
-        for a in (Fraction(1), Fraction(1, 2), Fraction(-3)):
+    the tail families by nu, mu and free constant.  Each cell equals the
+    closed forms, the tail family's hand-solved (z + a)-basis coefficients
+    included."""
+    for N in range(1, 15):
+        for a in (Fraction(1), Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(7, 3)):
             for free_samples in (DEFAULT_FREE_SAMPLES, (Fraction(0),), ()):
                 got = enumerate_altgold_equilibria(N, a, free_samples)
                 want = oracles.enumerate_altgold_equilibria(N, a, free_samples)
                 assert got == want, (N, a, free_samples)
+
+
+@st.composite
+def _tail_family_cells(draw):
+    """``(N, a, mu, nu, c)`` of the tail family with ``5 <= nu <= N <= 16``,
+    ``a`` and ``c`` rational (zero included)."""
+    N = draw(st.integers(5, 16))
+    nu = draw(st.integers(5, N))
+    mu = draw(st.integers(0, N - nu))
+    a = draw(st.one_of(st.just(Fraction(0)), st.fractions(-20, 20, max_denominator=12)))
+    c = draw(st.fractions(-50, 50, max_denominator=12))
+    return N, a, mu, nu, c
+
+
+@given(_tail_family_cells())
+def test_tail_family_equals_closed_form_oracle(cell):
+    """The tail family from its recurrence, multiplied out by linear
+    factors, equals the hand-solved closed form."""
+    N, a, mu, nu, c = cell
+    got = expand_altgold_psi(Family.ALTGOLD_NU5PLUS, N, a, mu, nu, c)
+    assert got == oracles.altgold_closed_form(Family.ALTGOLD_NU5PLUS, N, a, mu, nu, c)
+    assert {type(x) for x in got} == {Fraction}
 
 
 def test_altgold_residuals_exactly_zero():
