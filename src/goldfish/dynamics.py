@@ -25,8 +25,8 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from . import linalg
 from .linalg import TrackedPaths, Trajectory, _lapack, _walk, eigenvalues, integrate_ode
 from .polynomials import (
     PLAIN,
@@ -755,7 +755,7 @@ def detect_period(
                 za, va = a[:half], a[half:]
                 zb, vb = b[:half], b[half:]
                 cost = np.abs(za[:, None] - zb[None, :])
-                _, cols = linear_sum_assignment(cost)
+                _, cols = linalg._assignment()(cost)
                 # a relabeling is admissible only between branches that
                 # coincide within tol; genuine exchanges lengthen p
                 if all(c == i or abs(za[i] - za[c]) <= tol for i, c in enumerate(cols)):

@@ -13,10 +13,10 @@ of the (meromorphic) solutions handled by this package and is reported as
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .polynomials import GoldfishError
 
@@ -60,6 +60,14 @@ class AmbiguousTrackingError(GoldfishError):
             f"{index + 1}: displacement {displacement:.3e} exceeds half the "
             f"minimal eigenvalue gap {gap:.3e}; refine the time sampling"
         )
+
+
+@functools.cache
+def _assignment():
+    """scipy's ``linear_sum_assignment``, imported at the first eigenvalue
+    matching, not with the package."""
+    from scipy.optimize import linear_sum_assignment
+    return linear_sum_assignment
 
 
 def _lapack(routine, m):
@@ -284,7 +292,7 @@ def multiset_distance(a, b) -> float:
     """Largest distance in a minimum-cost injective matching of the values
     ``a`` into the values ``b`` (``len(a) <= len(b)``)."""
     cost = np.abs(np.asarray(a, dtype=complex)[:, None] - np.asarray(b, dtype=complex)[None, :])
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = _assignment()(cost)
     return float(np.max(cost[rows, cols]))
 
 
@@ -297,7 +305,7 @@ def _match_step(current: np.ndarray, new: np.ndarray, index: int) -> np.ndarray:
     """
     n = current.size
     cost = np.abs(current[:, None] - new[None, :]) ** 2
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = _assignment()(cost)
     perm = np.empty(n, dtype=int)
     perm[rows] = cols
     if n > 1:

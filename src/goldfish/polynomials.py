@@ -299,7 +299,7 @@ class RationalMatrix:
         return matrix
 
     def _set(self, rows, den: int):
-        g = math.gcd(den, *itertools.chain.from_iterable(rows))
+        g = den if den == 1 else math.gcd(den, *itertools.chain.from_iterable(rows))
         if g != 1:
             rows, den = [[a // g for a in row] for row in rows], den // g
         object.__setattr__(self, "numerators", tuple(map(tuple, rows)))

@@ -155,6 +155,32 @@ def _pencil_template(N: int):
     return tuple(A), tuple(B), degree
 
 
+@functools.lru_cache(maxsize=None)
+def _pencil_evaluator(N: int):
+    """:func:`_pencil_template` compiled into ``(x, d) -> (A rows, B rows,
+    s0)``, the rows ``s0 = d^degree`` times the entries at ``cbar = x / d``
+    (any scalar type): one store per nonzero entry into zero rows, so the
+    source grows with the template, not ``N^2``, and holds only its ints."""
+    A, B, degree = _pencil_template(N)
+
+    def entry(terms):  # the monomials of length k summed, times s_k = d^(degree - k)
+        groups = {}
+        for a, mono in terms:
+            groups.setdefault(len(mono), []).append("*".join([str(a), *map("x{}".format, mono)]))
+        sums = {k: " + ".join(group) for k, group in groups.items()}
+        return " + ".join(f"s{k} * ({s})" if k < degree else s for k, s in sums.items())
+
+    lines = ["def evaluate(x, d):", "    " + "".join(f"x{m}, " for m in range(N)) + "= x"]
+    lines += (f"    s{k} = d ** {degree - k}" for k in range(degree))
+    for name, entries in (("a", A), ("b", B)):
+        lines.append(f"    {name} = [[0] * {N} for _ in range({N})]")
+        lines += (f"    {name}[{i}][{j}] = {entry(terms)}" for i, j, terms in entries)
+    lines.append("    return a, b, s0")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<pencil, N = {N}>", "exec"), namespace)
+    return namespace["evaluate"]
+
+
 def build_pencil(config_or_cbar) -> QuadraticPencil:
     """Linearise the isochronous coefficient recurrence about the
     equilibrium ``cbar_1..cbar_N``.
@@ -180,34 +206,16 @@ def build_pencil(config_or_cbar) -> QuadraticPencil:
 
 
 def _pencil(x, d: int) -> QuadraticPencil:
-    """The pencil about ``cbar = x / d`` (integers ``x``, ``d > 0``).
-
-    ``A`` and ``B`` come from a per-``N`` template of integer polynomials in
-    ``cbar``, differentiated symbolically from :func:`_iso_bracket`
-    (:func:`_pencil_template`), evaluated on ``x`` into integer rows over
-    ``d^degree`` and reduced once; no entry becomes a ``Fraction``.  An
-    empty ``x`` is a ``ValueError``.
-    """
-    N = len(x)
-    if N < 1:
+    """The pencil about ``cbar = x / d`` (integers ``x``, ``d > 0``): rows
+    over ``d^degree`` from :func:`_pencil_evaluator`, reduced once, without
+    the public constructor's checks, which hold by construction.  An empty
+    ``x`` is a ``ValueError``."""
+    if not x:
         raise ValueError("need at least one coefficient")
-    A_entries, B_entries, degree = _pencil_template(N)
-    scale = [d ** (degree - k) for k in range(degree + 1)]
-    den = d ** degree
-
-    def evaluate(entries):
-        rows = [[0] * N for _ in range(N)]
-        for i, j, terms in entries:
-            total = 0
-            for a, mono in terms:
-                t = a * scale[len(mono)]
-                for v in mono:
-                    t *= x[v]
-                total += t
-            rows[i][j] = total
-        return RationalMatrix._scaled(rows, den)
-
-    return QuadraticPencil(evaluate(A_entries), evaluate(B_entries))
+    A, B, den = _pencil_evaluator(len(x))(x, d)
+    pencil = QuadraticPencil.__new__(QuadraticPencil)
+    pencil.__dict__.update(A=RationalMatrix._scaled(A, den), B=RationalMatrix._scaled(B, den))
+    return pencil
 
 
 def solve_pencil_numeric(pencil: QuadraticPencil) -> np.ndarray:

@@ -2,14 +2,19 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import goldfish
 from goldfish import polynomials, spectrum
 from goldfish.cli import build_parser, main
 from goldfish.dynamics import ModelSpec, ParticleState, System, simulate
@@ -145,6 +150,24 @@ def test_system_choices():
         "matrix-general", "matrix-u", "matrix-utilde", "rcm", "veselov",
     ]
     assert _choices("isochrony", "--system") == ["altisogold", "isogold"]
+
+
+def test_exact_commands_leave_scipy_optimize_unloaded():
+    """Only the simulation routes match eigenvalues with scipy's assignment
+    solver, so ``import goldfish`` and an exact command never load
+    ``scipy.optimize`` (a fresh interpreter, as a console script starts)."""
+    code = (
+        "import sys, goldfish\n"
+        "assert 'scipy.optimize' not in sys.modules, 'import goldfish'\n"
+        "from goldfish.cli import main\n"
+        "assert main(['spectrum', '--nu', '0', '--mu', '1', '--n', '2']) == 0\n"
+        "assert 'scipy.optimize' not in sys.modules, 'goldfish spectrum'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(goldfish.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("perturb", ["0", "1/2"])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import oracles
-from goldfish import polynomials, spectrum
+from goldfish import equilibria, polynomials, spectrum
 from goldfish.cli import main
 from goldfish.equilibria import (
     cbar_closed_form,
@@ -133,7 +133,12 @@ def test_pencil_equals_oracle_on_grid():
     )
 )
 def test_pencil_equals_oracle_on_random_cbar(cbar):
-    assert build_pencil(cbar) == oracles.pencil(cbar)
+    want = oracles.pencil(cbar)
+    assert build_pencil(cbar) == want
+    # the compiled template on Fraction entries at d = 1 gives the entries themselves
+    A, B, den = spectrum._pencil_evaluator(len(cbar))(cbar, 1)
+    assert den == 1
+    assert (A, B) == (oracles.fraction_rows(want.A), oracles.fraction_rows(want.B))
 
 
 def test_pencil_equals_oracle_at_large_n():
@@ -145,6 +150,47 @@ def test_pencil_equals_oracle_at_large_n():
         for cbar in cbars:
             for cb in (cbar, (cbar[0] + Fraction(1, 2),) + cbar[1:]):
                 assert build_pencil(cb) == oracles.pencil(cb), cb
+
+
+def test_cell_pencil_equals_the_public_constructor():
+    """The cell core builds its pencil without the public constructor's
+    copy and checks.  On every grid cell, each of the bench's c_1 shifts
+    (+-1/2, +-3/2) and the nu = 8 pencils, it equals ``QuadraticPencil``
+    built from the same rows as ``Fraction``s: numerators, denominator and
+    hash."""
+    cells = []
+    for n in range(1, 11):
+        for nu in (0, 1, 3, 4, 5):
+            for mu in range(nu, n + 1):
+                for c in DEFAULT_NU5_SAMPLES if nu == 5 else (Fraction(0),):
+                    cells.append(equilibria._iso_numerators(nu, mu, n, c))
+    for n in (8, 9, 10):
+        for mu in range(8, n + 1):
+            for c in (Fraction(1), Fraction(-3)):
+                cells.append(equilibria._iso_numerators(8, mu, n, c))
+    assert len(cells) == 280
+    for x, d in cells:
+        for delta in (0, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2)):
+            a, b = Fraction(delta).as_integer_ratio()
+            y = [v * b for v in x]
+            y[0] += a * d
+            pen = spectrum._pencil(y, d * b)
+            A, B, den = spectrum._pencil_evaluator(len(y))(y, d * b)
+            public = spectrum.QuadraticPencil(
+                *([[Fraction(v, den) for v in row] for row in M] for M in (A, B))
+            )
+            for got, want in ((pen.A, public.A), (pen.B, public.B)):
+                assert (got.numerators, got.denominator) == (want.numerators, want.denominator)
+            assert pen == public and hash(pen) == hash(public)
+
+
+def test_public_pencil_constructor_normalises_nested_rationals():
+    """``QuadraticPencil(A, B)`` takes nested ints and Fractions (or a
+    ``RationalMatrix``) and holds each matrix in lowest terms."""
+    pen = spectrum.QuadraticPencil([[Fraction(2, 4), 1], [0, Fraction(-6, 4)]], [[2, 4], [6, 8]])
+    assert pen.A.numerators == ((1, 2), (0, -3)) and pen.A.denominator == 2
+    assert pen.B.numerators == ((2, 4), (6, 8)) and pen.B.denominator == 1
+    assert spectrum.QuadraticPencil(pen.A, pen.B) == pen and pen.N == 2
 
 
 def _assert_exact_kernels_match_oracles(pen):
