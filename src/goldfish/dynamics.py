@@ -33,7 +33,6 @@ from .polynomials import (
     TILDE,
     GoldfishError,
     MonicPolynomial,
-    _horner,
     coeff_velocities,
     find_roots,
     from_roots,
@@ -257,50 +256,50 @@ def _simple_zero_slopes(psi: MonicPolynomial, z: np.ndarray) -> np.ndarray:
 def _particle_acceleration(spec: ModelSpec):
     """``acc(z, v)``: the particle equations of motion of ``spec``, on raw
     complex arrays of length ``spec.N`` and with no checks (:func:`eval_rhs`
-    is the checked form).  The constants of ``spec`` are read once."""
-    diag = slice(None, None, spec.N + 1)
+    is the checked form).  Each constant of ``spec`` is bound once as a
+    length-``N`` array (a ufunc on two arrays costs less than on a Python
+    scalar and an array), and the pair sums divide under one off-diagonal
+    mask.  Every element keeps its operation sequence, zero constants
+    included: dropping one can flip the sign of a zero."""
+    n, outer = spec.N, np.subtract.outer
+    off = ~np.eye(n, dtype=bool)
+    const = lambda x: np.full(n, x, dtype=complex)
+    one, two = const(1), const(2)
 
-    def pair_sum(z, w):
-        # out_n = sum_{m != n} w_n w_m / (z_n - z_m)
-        diff = z[:, None] - z[None, :]
-        diff.flat[diag] = 1.0
-        terms = w[None, :] / diff
-        terms.flat[diag] = 0.0
-        return w * np.add.reduce(terms, axis=1)
+    def pair_sum(w, den):
+        # out_n = sum_{m != n} w_m / den_nm
+        return np.add.reduce(np.divide(w, den, out=np.zeros((n, n), complex), where=off), axis=1)
 
     if spec.system is System.ISOGOLD:
+        i1, i3 = const(1j), const(3j)
 
         def acc(z, v):
-            w = v - 1j * z + z * z
-            return 3j * v + 2 * z * (1 + z * z) + 2 * pair_sum(z, w)
+            zz = z * z
+            w = v - i1 * z + zz
+            return i3 * v + two * z * (one + zz) + two * (w * pair_sum(w, outer(z, z)))
 
         return acc
 
-    phi_coeffs = spec.phi_coeffs()
+    zero, phi_coeffs = const(0), [const(p) for p in reversed(spec.phi_coeffs())]
 
     def phi(z):
-        return _horner(phi_coeffs, z)
+        out = zero  # Horner's rule from 0, as polynomials._horner runs it
+        for p in phi_coeffs:
+            out = out * z + p
+        return out
 
     if spec.system in (System.GOLD, System.GENERAL_GOLD):
-        a, b, c = spec.f_abc()
+        a, b, c = map(const, spec.f_abc())
 
         def acc(z, v):
             w = v + (a + b * z + c * z * z)
-            return phi(z) + 2 * pair_sum(z, w)
+            return phi(z) + two * (w * pair_sum(w, outer(z, z)))
 
         return acc
 
     # RCM / VESELOV: inverse-cube pair force
-    k = 2 * spec.g ** 2
-
-    def acc(z, v):
-        diff = z[:, None] - z[None, :]
-        diff.flat[diag] = 1.0
-        inv = 1.0 / diff ** 3
-        inv.flat[diag] = 0.0
-        return phi(z) - k * np.add.reduce(inv, axis=1)
-
-    return acc
+    k, three = const(2 * spec.g ** 2), const(3)
+    return lambda z, v: phi(z) - k * pair_sum(one, np.power(outer(z, z), three))
 
 
 def eval_rhs(spec: ModelSpec, state):

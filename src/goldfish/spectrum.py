@@ -449,7 +449,7 @@ class C217Result:
     mu: Fraction
     N: int
     contained: bool
-    max_match_error: float
+    max_match_error: float | None
     claimed: tuple[Fraction, ...]
     spectrum: tuple[complex, ...]
 
@@ -467,7 +467,8 @@ def verify_conjectures(which: str, nu: int, mu, N: int, free_samples=None):
     complement is deliberately not asserted): the exact characteristic
     polynomial is deflated by ``p - v`` for each claimed ``v``, and every
     remainder must be zero.  The numeric spectrum and its matching error
-    are reported as information only.
+    are reported as information only: ``()`` and ``None`` when the pencil
+    or the claimed values have no float form.
     """
     which = which.lower()
     if which == "c215":
@@ -499,7 +500,10 @@ def verify_conjectures(which: str, nu: int, mu, N: int, free_samples=None):
             if remainder:
                 contained = False
                 break
-        spectrum = solve_pencil_numeric(pencil)
-        err = multiset_distance(claimed, spectrum)
+        try:
+            spectrum = solve_pencil_numeric(pencil)
+            err = multiset_distance(claimed, spectrum)
+        except OverflowError:  # a value past the float range
+            spectrum, err = (), None
         return C217Result(nu, mu, N, contained, err, claimed, tuple(map(complex, spectrum)))
     raise ValueError(f"unknown conjecture {which!r}")

@@ -28,7 +28,11 @@ The simulation path is kept here in its per-state form (particle
 accelerations read the spec's constants on every call, eigenvalue paths
 are tracked again over the whole frame list after every inserted
 midpoint): the library's compiled right-hand side and its local
-refinement must reproduce these results bit for bit.  The frame-by-frame
+refinement must reproduce these results bit for bit.  The compiled
+particle field is kept here in its scalar-constant form too (Python
+constants, the diagonal overwritten before and after each pair divide):
+the library binds array constants and divides under a mask, and must
+give the same floats bit for bit.  The frame-by-frame
 tracking loop is kept here too, so that the walker the library's
 tracking and spectral route share is checked against a loop of its own,
 and so are the spectral branch velocities from a second decomposition of
@@ -72,7 +76,7 @@ from goldfish.equilibria import (
     RecursionSolution,
     solve_phi_recursion,
 )
-from goldfish.polynomials import IntegerPolynomial, RationalMatrix
+from goldfish.polynomials import IntegerPolynomial, RationalMatrix, _horner
 from goldfish.spectrum import QuadraticPencil
 
 
@@ -112,6 +116,54 @@ def particle_rhs(spec, z, v):
         return 3j * v + 2 * z * (1 + z * z) + 2 * _pair_sum(z, w)
     # RCM / VESELOV: inverse-cube pair force
     return _phi_of(spec, z) - 2 * spec.g ** 2 * _inverse_cube_sum(z)
+
+
+def particle_acceleration_reference(spec: ModelSpec):
+    """``acc(z, v)`` of ``spec`` with Python-scalar constants and the
+    diagonal overwritten before and after each pair divide."""
+    diag = slice(None, None, spec.N + 1)
+
+    def pair_sum(z, w):
+        # out_n = sum_{m != n} w_n w_m / (z_n - z_m)
+        diff = z[:, None] - z[None, :]
+        diff.flat[diag] = 1.0
+        terms = w[None, :] / diff
+        terms.flat[diag] = 0.0
+        return w * np.add.reduce(terms, axis=1)
+
+    if spec.system is System.ISOGOLD:
+
+        def acc(z, v):
+            w = v - 1j * z + z * z
+            return 3j * v + 2 * z * (1 + z * z) + 2 * pair_sum(z, w)
+
+        return acc
+
+    phi_coeffs = spec.phi_coeffs()
+
+    def phi(z):
+        return _horner(phi_coeffs, z)
+
+    if spec.system in (System.GOLD, System.GENERAL_GOLD):
+        a, b, c = spec.f_abc()
+
+        def acc(z, v):
+            w = v + (a + b * z + c * z * z)
+            return phi(z) + 2 * pair_sum(z, w)
+
+        return acc
+
+    # RCM / VESELOV: inverse-cube pair force
+    k = 2 * spec.g ** 2
+
+    def acc(z, v):
+        diff = z[:, None] - z[None, :]
+        diff.flat[diag] = 1.0
+        inv = 1.0 / diff ** 3
+        inv.flat[diag] = 0.0
+        return phi(z) - k * np.add.reduce(inv, axis=1)
+
+    return acc
 
 
 def track(frames, times):

@@ -125,6 +125,19 @@ def test_c217_double_root_cell_is_contained(capsys):
     assert json.loads(capsys.readouterr().out)["results"]["contained"] is True
 
 
+def test_c217_past_the_float_range_gives_its_exact_verdict(tmp_path, capsys):
+    """At mu = 1e400 neither the pencil nor the claimed values have a float
+    form: the exact containment verdict stands, with no numeric spectrum."""
+    out = tmp_path / "c217.json"
+    argv = ["conjecture", "--which", "c217", "--nu", "0", "--mu", "1e400", "--n", "5"]
+    assert run(argv + ["--json", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    results = json.loads(out.read_text())["results"]
+    assert results["contained"] is True
+    assert results["max_match_error"] is None and results["spectrum"] == []
+    assert results["claimed"][:3] == ["2/1", "3/1", "4/1"]
+
+
 def test_failed_certificate_is_a_runtime_failure(monkeypatch, capsys):
     """An exact charpoly that fails its certificate exits 1 with one line."""
 
@@ -575,17 +588,34 @@ def test_sweep_cell_bug_propagates(monkeypatch):
         main(argv)
 
 
-def test_sweep_cell_overflow_is_a_recorded_failure(tmp_path):
-    """An ArithmeticError in a cell (here the float solver's overflow at
-    mu = 1e400) is the cell's recorded failure, and the sweep exits 1."""
+def test_sweep_cell_overflow_is_a_recorded_failure(monkeypatch, tmp_path):
+    """An ArithmeticError in a cell (here an overflow) is the cell's
+    recorded failure, and the sweep exits 1."""
+
+    def overflow(*args, **kwargs):
+        raise OverflowError("integer division result too large for a float")
+
+    monkeypatch.setattr(spectrum, "verify_conjectures", overflow)
     out = tmp_path / "s.json"
-    argv = ["sweep", "--which", "c217", "--nu-list", "0", "--mu-list", "1e400",
+    argv = ["sweep", "--which", "c217", "--nu-list", "0", "--mu-list", "1/2",
             "--n-min", "5", "--n-max", "5", "--threads", "1", "--json", str(out)]
     assert run(argv) == 1
     report = json.loads(out.read_text())
     (cell,) = report["results"].values()
     assert cell == {"pass": False, "detail": "error: integer division result too large for a float"}
     assert report["failures"] == list(report["results"])
+
+
+def test_sweep_c217_cell_past_the_float_range_is_a_pass(tmp_path):
+    """At mu = 1e400 the pencil has no float form; the cell records the
+    exact containment verdict, with no matching error."""
+    out = tmp_path / "s.json"
+    argv = ["sweep", "--which", "c217", "--nu-list", "0", "--mu-list", "1e400",
+            "--n-min", "5", "--n-max", "5", "--threads", "1", "--json", str(out)]
+    assert run(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["results"] == {f"nu=0,mu={10**400},N=5": {"pass": True, "detail": None}}
+    assert report["failures"] == []
 
 
 # Tokens for the string options: unreadable, out-of-range and huge values.

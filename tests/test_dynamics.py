@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import oracles
@@ -669,6 +671,79 @@ def test_compiled_rhs_bit_identical_to_oracle(time_path):
                 if time_path == "trick":
                     field = field * np.exp(1j * t)
                 assert same_bits(got, field), (system, n)
+
+
+# One spec per particle system and gauge kind; ``d()`` draws a complex constant.
+_FIELD_SPECS = {
+    "gold": lambda n, d: ModelSpec(System.GOLD, n),
+    "gold-real-a2": lambda n, d: ModelSpec(System.GOLD, n, a2=d().real),
+    "gold-complex-a2": lambda n, d: ModelSpec(System.GOLD, n, a2=d()),
+    "general_gold": lambda n, d: ModelSpec(
+        System.GENERAL_GOLD, n, alpha=d(), beta=d(), gamma=d()
+    ),
+    "isogold": lambda n, d: ModelSpec(System.ISOGOLD, n),
+    "rcm": lambda n, d: ModelSpec(System.RCM, n, g=d()),
+    "veselov": lambda n, d: ModelSpec(System.VESELOV, n, g=d(), phi_poly=(d(), d(), d(), d())),
+}
+
+
+def _same_field(spec, z, v):
+    """The library's particle field equals the scalar-constant reference
+    bit for bit at ``(z, v)``."""
+    with np.errstate(all="ignore"):  # coinciding, huge or infinite coordinates
+        got = dynamics._particle_acceleration(spec)(z, v)
+        want = oracles.particle_acceleration_reference(spec)(z, v)
+    return same_bits(got, want)
+
+
+@pytest.mark.parametrize("kind", sorted(_FIELD_SPECS))
+def test_particle_field_equals_reference_on_seeded_states(kind):
+    """Array constants and the masked pair divide change no bit of the
+    field, signed zeros included, at N = 1..6."""
+    rng = np.random.default_rng(29)
+    d = lambda: complex(*rng.standard_normal(2))
+    for n in range(1, 7):
+        for k in range(100):
+            spec = _FIELD_SPECS[kind](n, d)
+            state = random_state(rng, n, scale=10.0 ** (k % 3 - 1))
+            z, v = state.z, state.zdot
+            if k % 4 == 0:  # signed zeros in a coordinate and a velocity
+                z[rng.integers(n)] = complex(*rng.choice([0.0, -0.0], 2))
+                v[rng.integers(n)] = complex(*rng.choice([0.0, -0.0], 2))
+            assert _same_field(spec, z, v), (kind, n, k)
+
+
+_PART = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5, np.inf, -np.inf]), st.floats(-4.0, 4.0))
+_COMPLEX = st.builds(complex, _PART, _PART)
+
+
+@pytest.mark.parametrize("kind", sorted(_FIELD_SPECS))
+@given(n=st.integers(1, 6), data=st.data())
+def test_particle_field_equals_reference_property(kind, n, data):
+    """Any constants and any state, coinciding coordinates, signed zeros
+    and infinities included: the library's field equals the reference bit
+    for bit."""
+    spec = _FIELD_SPECS[kind](n, lambda: data.draw(_COMPLEX))
+    z, v = (np.array(data.draw(st.lists(_COMPLEX, min_size=n, max_size=n))) for _ in range(2))
+    assert _same_field(spec, z, v)
+
+
+def test_direct_runs_equal_runs_on_the_reference_field(monkeypatch):
+    """A direct isogold N = 3 run over two periods and a direct goldfish
+    N = 4 oracle run give the same trajectory, bit for bit, when the
+    reference field stands in for the library's."""
+    rng = np.random.default_rng(30)
+    two_periods, oracle_window = np.linspace(0, 4 * np.pi, 65), np.linspace(0, 1, 21)
+    runs = [
+        (ModelSpec(System.ISOGOLD, 3), random_state(rng, 3, scale=0.15), two_periods),
+        (ModelSpec(System.GOLD, 4, a2=1 + 1j), random_state(rng, 4, scale=1.0), oracle_window),
+    ]
+    got = [simulate(spec, state, t, tol=1e-11).trajectory for spec, state, t in runs]
+    reference = oracles.particle_acceleration_reference
+    monkeypatch.setattr(dynamics, "_particle_acceleration", reference)
+    for (spec, state, t), traj in zip(runs, got):
+        want = simulate(spec, state, t, tol=1e-11).trajectory
+        assert same_bits(traj.times, want.times) and same_bits(traj.states, want.states), spec
 
 
 def _walk_sampler(sampler, t_samples):

@@ -538,6 +538,19 @@ def test_c217_double_roots_are_contained_exactly(monkeypatch):
         assert not verify_conjectures("c217", 4, 3, 10).contained, extra
 
 
+@pytest.mark.parametrize("nu, n", [(0, 5), (1, 8), (3, 8), (4, 5), (5, 5)])
+def test_c217_past_the_float_range_keeps_its_exact_verdict(monkeypatch, nu, n):
+    """At mu = 1e400 the pencil and the claimed values have no float form:
+    the exact containment verdict comes back with no numeric spectrum and
+    no matching error, and an extra claimed value still fails it."""
+    res = verify_conjectures("c217", nu, 10**400, n)
+    assert (res.contained, res.max_match_error, res.spectrum) == (True, None, ())
+    claim = conjecture_217_claim(nu, 10**400, n)
+    monkeypatch.setattr(
+        "goldfish.spectrum.conjecture_217_claim", lambda nu, mu, N: claim + (Fraction(7),)
+    )
+    assert not verify_conjectures("c217", nu, 10**400, n).contained
+
 def test_c217_claim_lists():
     claimed = conjecture_217_claim(0, Fraction(1, 2), 6)
     assert claimed == (
