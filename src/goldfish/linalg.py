@@ -2,10 +2,13 @@
 eigenvalue-path tracking.
 
 Everything here operates on plain numpy arrays with ``complex128`` entries.
-The integrator is a loop over scipy's DOP853 stepper (an explicit
-Runge-Kutta 8(5,3) pair) whose seventh-order dense output is built only on
-the steps that hold a sample; its tolerances are scaled by ``1/sqrt(n)``
-so that the local error of every component stays below ``tol (1 + |y|)``.
+The integrator is scipy's DOP853 (an explicit Runge-Kutta 8(5,3) pair)
+stepped by a loop of its own: scipy's tableau, first step and
+interpolant, scipy's arithmetic in scipy's order, so every float and
+every right-hand-side call is scipy's, without scipy's per-step and
+per-call Python frames.  The seventh-order dense output is built only on
+the steps that hold a sample; tolerances are scaled by ``1/sqrt(n)`` so
+that the local error of every component stays below ``tol (1 + |y|)``.
 Step-size underflow is treated as the signature of a movable singularity
 of the (meromorphic) solutions handled by this package and is reported as
 :class:`MovableSingularityError` instead of propagating NaNs.
@@ -14,6 +17,7 @@ of the (meromorphic) solutions handled by this package and is reported as
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +123,7 @@ class Trajectory:
         s = np.asarray(self.states, dtype=complex)
         if t.ndim != 1 or t.size == 0:
             raise ValueError("times must be a non-empty 1-d array")
-        if np.any(np.diff(t) <= 0):
+        if not np.all(np.diff(t) > 0):  # NaN included
             raise ValueError("times must be strictly increasing")
         if s.ndim != 2 or s.shape[0] != t.size:
             raise ValueError("states must have one row per time")
@@ -134,16 +138,18 @@ class Trajectory:
 def integrate_ode(rhs, y0, t_span, tol=1e-10, t_eval=None, return_dense=False, on_step=None):
     """Integrate ``dy/dt = rhs(t, y)`` over a complexified state.
 
-    A loop over scipy's ``DOP853`` stepper, the explicit Runge-Kutta
-    8(5,3) pair of Hairer, Norsett and Wanner with seventh-order dense
-    output.  Per-step local error is kept below ``tol`` componentwise,
-    relative to ``1 + |y|``: scipy bounds the RMS norm of
-    ``err / (atol + rtol |y|)`` by one, so passing
-    ``rtol = atol = tol / sqrt(n)`` for a state of length ``n`` bounds
-    every single component by ``tol (1 + |y|)``.  That value is clamped
-    at scipy's ``rtol`` floor of ``100 eps``, so that ``tol = 1e-14``
-    raises no scipy warning; below ``100 eps sqrt(n)`` the componentwise
-    bound is ``100 eps sqrt(n) (1 + |y|)`` instead.
+    scipy's ``DOP853``, the explicit Runge-Kutta 8(5,3) pair of Hairer,
+    Norsett and Wanner with seventh-order dense output, stepped by a loop
+    of its own: scipy supplies the tableau, the first step and the
+    interpolant, and the loop repeats the arithmetic of scipy's stepper
+    in its order, so every float and every ``rhs`` call is scipy's.
+    Per-step local error is kept below ``tol`` componentwise, relative to
+    ``1 + |y|``: the error control bounds the RMS norm of
+    ``err / (atol + rtol |y|)`` by one, so ``rtol = atol = tol / sqrt(n)``
+    for a state of length ``n`` bounds every single component by
+    ``tol (1 + |y|)``.  That value is clamped at scipy's ``rtol`` floor of
+    ``100 eps``; below ``100 eps sqrt(n)`` the componentwise bound is
+    ``100 eps sqrt(n) (1 + |y|)`` instead.
 
     ``rhs`` is called as given, with no checks of its own: it is checked
     once, on the initial state.  The interpolant (three extra ``rhs``
@@ -156,9 +162,9 @@ def integrate_ode(rhs, y0, t_span, tol=1e-10, t_eval=None, return_dense=False, o
     rhs : callable
         ``rhs(t, y) -> dy/dt`` with ``t`` real and ``y`` complex.
     y0 : array_like of complex
-        Initial state.
+        Non-empty initial state.
     t_span : (float, float)
-        Integration window ``(t0, t1)`` with ``t1 > t0``.
+        Finite integration window ``(t0, t1)`` with ``t1 > t0``.
     tol : float
         Local error tolerance, in ``[1e-14, 1e-4]``.
     t_eval : array_like of float, optional
@@ -180,15 +186,18 @@ def integrate_ode(rhs, y0, t_span, tol=1e-10, t_eval=None, return_dense=False, o
         the last accepted step time.
     """
     from scipy.integrate import DOP853, OdeSolution
+    from scipy.integrate._ivp.rk import Dop853DenseOutput
 
     if not 1e-14 <= tol <= 1e-4:
         raise ValueError(f"tol must lie in [1e-14, 1e-4], got {tol}")
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t_span must be finite, got ({t0}, {t1})")
     if not t1 > t0:
         raise ValueError("t_span must satisfy t1 > t0")
     y = np.asarray(y0, dtype=complex)
-    if y.ndim != 1:
-        raise ValueError("y0 must be a flat vector")
+    if y.ndim != 1 or y.size == 0:
+        raise ValueError(f"y0 must be a non-empty flat vector, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("y0 must be finite")
     if t_eval is not None:
@@ -198,8 +207,39 @@ def integrate_ode(rhs, y0, t_span, tol=1e-10, t_eval=None, return_dense=False, o
     if f.shape != y.shape or not np.all(np.isfinite(f)):
         raise ValueError("rhs is not finite on the initial state")
 
-    scaled = max(tol / np.sqrt(y.size), 100 * np.finfo(float).eps)
-    solver = DOP853(rhs, t0, y, t1, rtol=scaled, atol=scaled)
+    n = y.size
+    rtol = atol = float(max(tol / np.sqrt(n), 100 * np.finfo(float).eps))
+    # scipy's first f and first step, and so its count of rhs calls
+    solver = DOP853(rhs, t0, y, t1, rtol=rtol, atol=atol)
+    f, h_abs = solver.f, float(solver.h_abs)
+    # scipy's tableau, each row that multiplies the complex stages cast to
+    # complex once (np.dot casts it anyway, so no bit changes); a stage is
+    # (s, c_s, K[:s].T, A[s, :s])
+    A, A_extra, B, E5, E3, D = (
+        np.asarray(v, dtype=complex)
+        for v in (DOP853.A, DOP853.A_EXTRA, DOP853.B, DOP853.E5, DOP853.E3, DOP853.D)
+    )
+    m = DOP853.n_stages
+    K = np.empty((D.shape[1], n), dtype=complex)
+    stages = [(s, float(c), K[:s].T, A[s, :s]) for s, c in enumerate(DOP853.C[1:], 1)]
+    extra = [
+        (s, float(c), K[:s].T, row[:s])
+        for s, (row, c) in enumerate(zip(A_extra, DOP853.C_EXTRA), m + 1)
+    ]
+    K_B, K_E = K[:m].T, K[: m + 1].T
+
+    def interpolant():
+        """scipy's interpolant of the step just accepted, from its stages."""
+        for s, c, k, a in extra:
+            K[s] = rhs(t_old + c * h, y_old + np.dot(k, a) * h)
+        F = np.empty((3 + len(D), n), dtype=complex)
+        delta_y = y - y_old
+        F[0] = delta_y
+        F[1] = h * K[0] - delta_y
+        F[2] = 2 * delta_y - h * (f + K[0])
+        F[3:] = h * np.dot(D, K)
+        return Dop853DenseOutput(t_old, t, y_old, F)
+
     if on_step is not None:
         on_step(t0, y)
     if t_eval is None:
@@ -210,26 +250,59 @@ def integrate_ode(rhs, y0, t_span, tol=1e-10, t_eval=None, return_dense=False, o
     # ``return_dense``
     ends, pieces = [t0], []
     taken = 0  # samples of t_eval already read
-    while solver.status == "running":
-        solver.step()
-        if solver.status == "failed":
-            raise MovableSingularityError(float(solver.t))
-        t = solver.t
+    t = t0
+    while t < t1:
+        # scipy's step and its controller (SAFETY 0.9, MIN_FACTOR 0.2,
+        # MAX_FACTOR 10, exponent -1/8): shrink after a rejected attempt,
+        # and do not grow after an accepted one that followed it
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        abs_y = np.abs(y)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise MovableSingularityError(t)
+            t_new = min(t + h_abs, t1)
+            h = h_abs = t_new - t
+            K[0] = f
+            for s, c, k, a in stages:
+                K[s] = rhs(t + c * h, y + np.dot(k, a) * h)
+            y_new = y + h * np.dot(K_B, B)
+            f_new = K[m] = rhs(t + h, y_new)
+            scale = atol + np.maximum(abs_y, np.abs(y_new)) * rtol
+            e5 = np.dot(K_E, E5) / scale
+            e3 = np.dot(K_E, E3) / scale
+            # np.linalg.norm(e) ** 2, squared after its sqrt as scipy does
+            err5 = math.sqrt(e5.real.dot(e5.real) + e5.imag.dot(e5.imag)) ** 2
+            err3 = math.sqrt(e3.real.dot(e3.real) + e3.imag.dot(e3.imag)) ** 2
+            denom = err5 + 0.01 * err3
+            if denom:
+                error_norm = h * err5 / math.sqrt(denom * n)
+            else:  # numpy's 0 / 0 = nan, unless both norms vanish
+                error_norm = math.nan if err3 else 0.0
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm**-0.125)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm**-0.125)
+            rejected = True
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+
         piece = None
         if return_dense:
-            piece = solver.dense_output()
+            piece = interpolant()
             ends.append(t)
             pieces.append(piece)
         if on_step is not None:
-            on_step(t, solver.y)
+            on_step(t, y)
         if t_eval is None:
             times.append(t)
-            rows.append(solver.y)
+            rows.append(y)
             continue
         upto = np.searchsorted(t_eval, t, side="right")
         if upto > taken:
             if piece is None:
-                piece = solver.dense_output()
+                piece = interpolant()
             times.append(t_eval[taken:upto])
             rows.append(piece(t_eval[taken:upto]).T)
             taken = upto

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from goldfish import dynamics
@@ -265,13 +267,18 @@ def _reference_cases():
     pole = lambda t, y: y * y
     yield "y' = y^2 pole", pole, np.array([1.0 + 0j]), 2.0, {}
     yield "y' = y^2 pole, sampled", pole, np.array([1.0 + 0j]), 2.0, samples(2.0, 8)
+    # a zero error estimate grows every step by scipy's largest factor
+    yield "y' = 0", lambda t, y: 0 * y, np.array([1.0 + 0j]), 1.0, {}
+    # past its stability limit DOP853 rejects attempts over and over
+    relax = lambda t, y: -200 * (y - np.cos(t))
+    yield "stiff relaxation, retried", relax, np.array([0j]), 1.0, dict(tol=1e-6)
+    yield "gold N = 2, tol at the floor", field(System.GOLD, 2), draw(4), 1.0, dict(tol=1e-14)
 
 
-@pytest.mark.parametrize("case", list(_reference_cases()), ids=lambda case: case[0])
-def test_integrator_equals_solve_ivp_reference(case):
-    """The stepper loop gives the times, states, interpolant, failure time,
-    accepted steps and number of ``rhs`` calls of ``solve_ivp`` bit for bit."""
-    _, rhs, y0, t1, kwargs = case
+def _assert_equals_reference(rhs, y0, t1, kwargs):
+    """``integrate_ode`` gives the times, states, interpolant, failure time,
+    accepted steps and number of ``rhs`` calls of ``solve_ivp`` bit for
+    bit on ``(0, t1)``."""
     got, got_steps, got_calls = _integrate_recorded(integrate_ode, rhs, y0, (0.0, t1), **kwargs)
     want, want_steps, want_calls = _integrate_recorded(
         oracles.solve_ivp_reference, rhs, y0, (0.0, t1), **kwargs
@@ -279,7 +286,7 @@ def test_integrator_equals_solve_ivp_reference(case):
     assert got_calls == want_calls
     assert len(got_steps) == len(want_steps) > 1
     for (t, y), (t_ref, y_ref) in zip(got_steps, want_steps):
-        assert t == t_ref and np.array_equal(y, y_ref)
+        assert t == t_ref and _same_bits(y, y_ref)
     if isinstance(want, MovableSingularityError):
         assert isinstance(got, MovableSingularityError)
         assert got.last_time == want.last_time == want_steps[-1][0]
@@ -288,11 +295,75 @@ def test_integrator_equals_solve_ivp_reference(case):
         (got, dense), (want, want_dense) = got, want
         step_times = np.array([t for t, _ in want_steps])
         mid = (step_times[:-1] + step_times[1:]) / 2
-        assert np.array_equal(dense(mid), want_dense(mid))
-        assert all(np.array_equal(dense(t), want_dense(t)) for t in mid)
-    assert np.array_equal(got.times, want.times)
-    assert np.array_equal(got.states, want.states)
+        assert _same_bits(dense(mid), want_dense(mid))
+        assert all(_same_bits(dense(t), want_dense(t)) for t in mid)
+    assert _same_bits(got.times, want.times)
+    assert _same_bits(got.states, want.states)
     assert got.states.flags.c_contiguous
+
+
+def _same_bits(a, b):
+    """Equal shapes and equal bit patterns, signed zeros and NaNs included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("case", list(_reference_cases()), ids=lambda case: case[0])
+def test_integrator_equals_solve_ivp_reference(case):
+    """The step loop repeats ``solve_ivp`` bit for bit."""
+    _, rhs, y0, t1, kwargs = case
+    _assert_equals_reference(rhs, y0, t1, kwargs)
+
+
+def test_reference_cases_reach_a_retry_and_the_tol_floor():
+    """The retried case rejects attempts, each costing twelve more ``rhs``
+    calls, and the floor case's ``tol`` is clamped at ``100 eps``, so it
+    runs the same steps as another ``tol`` below that floor."""
+    cases = {name: case for name, *case in _reference_cases()}
+    rhs, y0, t1, kwargs = cases["stiff relaxation, retried"]
+    _, steps, calls = _integrate_recorded(integrate_ode, rhs, y0, (0.0, t1), **kwargs)
+    # the check, scipy's first f and its first-step probe, then twelve
+    # calls per attempt (no sample, so no interpolant)
+    retries, rest = divmod(calls - 3 - 12 * (len(steps) - 1), 12)
+    assert rest == 0 and retries >= 1
+    rhs, y0, t1, kwargs = cases["gold N = 2, tol at the floor"]
+    floor = 100 * np.finfo(float).eps * np.sqrt(y0.size)
+    assert kwargs["tol"] < floor / 2
+    got, want = (integrate_ode(rhs, y0, (0.0, t1), tol=tol) for tol in (kwargs["tol"], floor / 2))
+    assert _same_bits(got.times, want.times) and _same_bits(got.states, want.states)
+
+
+def _field(kind, n, rng):
+    """``(rhs, y0)`` of a random run of ``kind`` at ``N = n``."""
+    a2 = complex(*rng.standard_normal(2))
+    spec, time_path, size, scale = {
+        "gold": (ModelSpec(System.GOLD, n, a2=a2), None, 2 * n, 0.4),
+        "isogold": (ModelSpec(System.ISOGOLD, n), None, 2 * n, 0.4),
+        "trick": (ModelSpec(System.ISOGOLD, n), "trick", 2 * n, 0.4),
+        "altisogold": (ModelSpec(System.ALTISOGOLD, n), None, 2 * n, 0.05),
+        "matrix-u": (ModelSpec(System.MATRIX_U, n, a2=a2), None, 2 * n * n, 0.3),
+    }[kind]
+    y0 = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    return dynamics._first_order_rhs(spec, time_path), y0
+
+
+@given(
+    kind=st.sampled_from(["gold", "isogold", "altisogold", "matrix-u", "trick"]),
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    t1=st.floats(0.05, 2.0),
+    samples=st.integers(0, 6),
+    return_dense=st.booleans(),
+)
+def test_integrator_equals_solve_ivp_reference_property(kind, n, seed, t1, samples, return_dense):
+    """Any field of the package, a log-uniform tolerance in range and any
+    sample grid: the step loop repeats ``solve_ivp`` bit for bit."""
+    rng = np.random.default_rng(seed)
+    rhs, y0 = _field(kind, n, rng)
+    kwargs = dict(tol=10.0 ** rng.uniform(-14.0, -4.0), return_dense=return_dense)
+    if samples:
+        kwargs["t_eval"] = np.unique(np.append(rng.uniform(0.0, t1, samples), t1))
+    _assert_equals_reference(rhs, y0, t1, kwargs)
 
 
 @pytest.mark.parametrize(
@@ -315,9 +386,30 @@ def test_integrator_rejects_bad_samples(t_eval, message):
     assert not calls  # refused before the first rhs call
 
 
+@pytest.mark.parametrize(
+    "y0, t_span, message",
+    [
+        ([1.0], (0.0, np.inf), r"t_span must be finite, got \(0.0, inf\)"),
+        ([1.0], (-np.inf, 0.0), r"t_span must be finite, got \(-inf, 0.0\)"),
+        ([1.0], (0.0, np.nan), r"t_span must be finite, got \(0.0, nan\)"),
+        ([], (0.0, 1.0), r"y0 must be a non-empty flat vector, got shape \(0,\)"),
+    ],
+)
+def test_integrator_rejects_unbounded_window_and_empty_state(y0, t_span, message):
+    calls = []
+    rhs = lambda t, y: calls.append(t) or y
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            integrate_ode(rhs, np.array(y0, dtype=complex), t_span)
+    assert not calls  # refused before the first rhs call
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1), dtype=complex))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Trajectory(np.array([0.0, np.nan, 2.0]), np.zeros((3, 2), dtype=complex))
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 1.0]), np.zeros((3, 1), dtype=complex))
 
