@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import _iso_bracket, _rational_bracket
-from .polynomials import _linear_product
+from .polynomials import IntegerPolynomial, _linear_product, _primitive_gcd
 
 __all__ = [
     "EquilibriumConfig",
@@ -293,33 +293,37 @@ def enumerate_iso_equilibria(N: int, free_samples=DEFAULT_FREE_SAMPLES, include_
 
 def expand_altgold_psi(family: Family, N: int, a, mu: int, nu: int = 0, c=Fraction(0)):
     """Equilibrium coefficients by exact expansion of one of the three
-    factored families of the rational-time system."""
-    a = Fraction(a)
-    c = Fraction(c)
+    factored families of the rational-time system, on integers: with
+    ``a = p/q`` and ``u = q z`` each ``z -+ a`` is ``(u -+ p)/q``, so the
+    family times a constant is an integer ``Q(u)`` with leading
+    coefficient ``lead``, and ``c_j = Q_(N-j) / (lead q^j)``."""
+    p, q = Fraction(a).as_integer_ratio()
+    r, s = Fraction(c).as_integer_ratio()
     if family is Family.ALTGOLD_BINOMIAL:
         if not 0 <= mu <= N:
             raise ValueError("binomial family needs 0 <= mu <= N")
-        inner = [Fraction(1)]
+        inner = [1]
     elif family is Family.ALTGOLD_NU2:
         if N < 2 or not 0 <= mu <= N - 2:
             raise ValueError("quadratic family needs N >= 2 and 0 <= mu <= N - 2")
-        inner = [(c * c - a * a) / 3, c, Fraction(1)]
+        # z^2 + c z + (c^2 - a^2)/3, times 3 s^2 q^2
+        inner = [r * r * q * q - p * p * s * s, 3 * r * s * q, 3 * s * s]
     elif family is Family.ALTGOLD_NU5PLUS:
         if not (5 <= nu <= N and 0 <= mu <= N - nu):
             raise ValueError("tail family needs 5 <= nu <= N and 0 <= mu <= N - nu")
-        # sum_m chi_m a^m (z + a)^(nu - m), by Horner in (z + a); chi_5 = c/60
-        chi, E = _two_term(_chi_factor, nu, c / 60, nu)
-        inner = [Fraction(1)]
+        # sum_m chi_m a^m (z + a)^(nu - m), times E q^nu, by Horner in u + p;
+        # chi_5 = c/60
+        chi, _ = _two_term(_chi_factor, nu, Fraction(r, 60 * s), nu)
+        inner = chi[:1]
         for m in range(1, nu + 1):
-            inner = _linear_product([-a], inner)
-            inner[0] += Fraction(chi[m], E) * a**m
+            inner = _linear_product([-p], inner)
+            inner[0] += chi[m] * p**m
     else:
         raise ValueError(f"not a rational-time family: {family}")
-    # inner (z - a)^mu (z + a)^(N - mu - deg inner), built ascending
-    roots = [a] * mu + [-a] * (N - mu - (len(inner) - 1))
-    seq = _linear_product(roots, inner)[::-1]
-    assert seq[0] == 1 and len(seq) == N + 1
-    return tuple(seq[1:])
+    # inner (u - p)^mu (u + p)^(N - mu - deg inner), built ascending
+    roots = [p] * mu + [-p] * (N - mu - (len(inner) - 1))
+    lead, *seq = _linear_product(roots, inner)[::-1]
+    return tuple(Fraction(x, lead * q**j) for j, x in enumerate(seq, 1))
 
 
 def enumerate_altgold_equilibria(N: int, a, free_samples=DEFAULT_FREE_SAMPLES):
@@ -377,34 +381,18 @@ class GenuinenessReport:
     necessary_condition_met: bool | None
 
 
-def _gcd_degree(p, q) -> int:
-    """Degree of ``gcd(p, q)`` by Euclid over the rationals (descending
-    coefficient lists with nonzero leading coefficients)."""
-    while q:
-        r = list(p)
-        while len(r) >= len(q):
-            f = r[0] / q[0]
-            for k in range(1, len(q)):
-                r[k] -= f * q[k]
-            r.pop(0)
-        while r and r[0] == 0:
-            r.pop(0)
-        p, q = q, r
-    return len(p) - 1
-
-
 def genuineness_check(config: EquilibriumConfig) -> GenuinenessReport:
     """Classify an equilibrium: genuine means all position roots distinct.
 
     With ``P = (1, c_1, .., c_N)`` read as a descending polynomial, the
-    number of distinct zeros is ``N - deg gcd(P, P')``, computed exactly.
+    number of distinct zeros is ``N - deg gcd(P, P')``, taken on the
+    integers ``d P`` by :func:`polynomials._primitive_gcd`.
     This holds in either coefficient convention: in TILDE the position
     polynomial is ``psi(i x) = i^N P(x)``, whose zeros have the same
     multiplicities as those of ``P``.
     """
-    P = [Fraction(1), *map(Fraction, config.cbar)]
-    dP = [(config.N - k) * x for k, x in enumerate(P[:-1])]
-    distinct = config.N - _gcd_degree(P, dP)
+    P = IntegerPolynomial((*config.cbar[::-1], 1)).numerators  # d (1, c_1, .., c_N)
+    distinct = config.N + 1 - len(_primitive_gcd(P, [k * x for k, x in enumerate(P)][1:]))
     necessary = None
     if config.family is Family.ISO:
         necessary = config.mu >= config.N - 1 and config.nu >= config.mu - 1

@@ -142,7 +142,8 @@ def integrate_ode(rhs, y0, t_span, tol=1e-10, t_eval=None, return_dense=False, o
     Norsett and Wanner with seventh-order dense output, stepped by a loop
     of its own: scipy supplies the tableau, the first step and the
     interpolant, and the loop repeats the arithmetic of scipy's stepper
-    in its order, so every float and every ``rhs`` call is scipy's.
+    in its order, so every float and every ``rhs`` call is scipy's but the
+    first, whose value the initial check hands over.
     Per-step local error is kept below ``tol`` componentwise, relative to
     ``1 + |y|``: the error control bounds the RMS norm of
     ``err / (atol + rtol |y|)`` by one, so ``rtol = atol = tol / sqrt(n)``
@@ -209,9 +210,10 @@ def integrate_ode(rhs, y0, t_span, tol=1e-10, t_eval=None, return_dense=False, o
 
     n = y.size
     rtol = atol = float(max(tol / np.sqrt(n), 100 * np.finfo(float).eps))
-    # scipy's first f and first step, and so its count of rhs calls
-    solver = DOP853(rhs, t0, y, t1, rtol=rtol, atol=atol)
-    f, h_abs = solver.f, float(solver.h_abs)
+    # scipy's first step, whose first rhs call is handed the checked f
+    first = [f]
+    seeded = lambda t, y: first.pop() if first else rhs(t, y)
+    h_abs = float(DOP853(seeded, t0, y, t1, rtol=rtol, atol=atol).h_abs)
     # scipy's tableau, each row that multiplies the complex stages cast to
     # complex once (np.dot casts it anyway, so no bit changes); a stage is
     # (s, c_s, K[:s].T, A[s, :s])

@@ -362,6 +362,25 @@ def _deflate(coeffs, r):
     return quotient[::-1], carry * r + coeffs[0]
 
 
+def _primitive_gcd(f, g) -> list[int]:
+    """``gcd(f, g)``, primitive and up to sign, of two nonzero integer
+    polynomials (ascending, nonzero leading coefficients) by primitive
+    pseudo-remainders: integers throughout, kept small by their content."""
+    while g:
+        content = math.gcd(*g)
+        g = [x // content for x in g]
+        r = list(f)
+        while len(r) >= len(g):  # r <- lc(g) r - lc(r) x^k g, dropping the top
+            top, k = r.pop(), len(r) - len(g) + 1
+            r = [g[-1] * x for x in r]
+            for i, x in enumerate(g[:-1]):
+                r[k + i] -= top * x
+            while r and not r[-1]:
+                r.pop()
+        f, g = g, r
+    return f
+
+
 def _bareiss_det(rows: list[list[int]]) -> int:
     """Exact determinant of an integer matrix by fraction-free (Bareiss)
     elimination.  Each step replaces the matrix by its trailing minor; every

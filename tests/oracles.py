@@ -16,13 +16,15 @@ binomial closed forms, one per core degree, over a falling-factorial
 binomial: the library derives every one of them from the core recurrence
 as a single series.  The rational-time families are kept here as
 closed forms too, the tail family by its hand-solved ``(z + a)``-basis
-coefficients, multiplied out one ``Fraction`` product at a time: the
+coefficients, each family's inner factor convolved with the
+double-binomial coefficients of ``(z - a)^mu (z + a)^k`` on integers: the
 library solves the tail family's recurrence and multiplies by linear
 factors.  The rational-time recurrence itself is kept here as a
 ``Fraction`` solver of its own, with its exact residuals.  The polynomial
 sum and product the tests build expected polynomials with live here too,
-and so does the Sylvester determinant of ``P`` and ``P'``, the independent
-check of the library's squarefree genuineness test.
+and so do the Sylvester determinant of ``P`` and ``P'`` and Euclid over
+the rationals for ``deg gcd(P, P')``, the independent checks of the
+library's squarefree genuineness test, which takes one integer gcd.
 
 The simulation path is kept here in its per-state form (particle
 accelerations read the spec's constants on every call, eigenvalue paths
@@ -385,32 +387,45 @@ def altgold_binomial_closed_form(N: int, a, mu: int):
 
 
 def altgold_closed_form(family: Family, N: int, a, mu: int, nu: int = 0, c=Fraction(0)):
-    """Rational-time family coefficients from the closed forms, one
-    ``Fraction`` polynomial product per factor.  The tail family's inner
-    factor is ``sum_j beta_j (z + a)^(nu - j)`` with the hand-solved
-    ``beta_(e + 5) = c (-2)^e C(nu - 5, e) a^(e + 5) / ((e + 5)(e + 4)(e + 3))``."""
-    a, c = Fraction(a), Fraction(c)
+    """Rational-time family coefficients from the closed forms, on integers.
+
+    ``psi = inner(z) (z - a)^mu (z + a)^k``, and the coefficient of
+    ``z^(mu + k - m)`` in the binomial part is ``a^m s_m`` with the
+    double-binomial ``s_m = sum_l (-1)^l C(mu, l) C(k, m - l)``.  With
+    ``a = p/q``, ``inner``'s coefficient of ``z^(deg inner - i)`` times
+    ``q^i`` is ``K_i / D`` for integers ``K_i``, so
+    ``c_j = sum_i K_i p^(j - i) s_(j - i) / (D q^j)``.  The tail family's
+    inner factor is ``sum_j b_j a^j (z + a)^(nu - j)`` with the hand-solved
+    ``b_0..b_4 = 1, -nu, nu (nu - 1)/3, 0, 0`` and
+    ``b_(e + 5) = c (-2)^e C(nu - 5, e) / ((e + 5)(e + 4)(e + 3))``, whose
+    coefficient of ``z^(nu - i)`` is ``a^i sum_j b_j C(nu - j, i - j)``."""
+    p, q = Fraction(a).as_integer_ratio()
+    r, s = Fraction(c).as_integer_ratio()
     if family is Family.ALTGOLD_BINOMIAL:
-        inner = [Fraction(1)]  # ascending
+        K, D = [1], 1
     elif family is Family.ALTGOLD_NU2:
-        inner = [(c * c - a * a) / 3, c, Fraction(1)]
+        # (1, c, (c^2 - a^2)/3) times (1, q, q^2) and D = 3 s^2
+        K, D = [3 * s * s, 3 * r * s * q, r * r * q * q - p * p * s * s], 3 * s * s
     else:
-        betas = [-nu * a, Fraction(nu * (nu - 1), 3) * a * a, 0, 0] + [
-            c
-            * Fraction((-2) ** e, (e + 5) * (e + 4) * (e + 3))
-            * math.comb(nu - 5, e)
-            * a ** (e + 5)
-            for e in range(nu - 4)
+        cubes = [(e + 5) * (e + 4) * (e + 3) for e in range(nu - 4)]
+        D = 3 * s * math.lcm(*cubes)
+        b = [D, -D * nu, D // 3 * nu * (nu - 1), 0, 0] + [
+            D // s * r * (-2) ** e * math.comb(nu - 5, e) // cube for e, cube in enumerate(cubes)
         ]
-        inner = [Fraction(1)]
-        for beta in betas:  # Horner in (z + a)
-            inner = _schoolbook(inner, [a, Fraction(1)])
-            inner[0] += beta
-    psi = inner
-    for r in [a] * mu + [-a] * (N - mu - (len(inner) - 1)):
-        psi = _schoolbook(psi, [-r, Fraction(1)])
-    assert len(psi) == N + 1 and psi[-1] == 1
-    return tuple(psi[-2::-1])
+        K = [
+            p**i * sum(b[j] * math.comb(nu - j, i - j) for j in range(i + 1))
+            for i in range(nu + 1)
+        ]
+    k = N - mu - (len(K) - 1)
+    ps = []  # p^m s_m
+    for m in range(mu + k + 1):
+        terms = range(min(mu, m) + 1)
+        ps.append(p**m * sum((-1) ** el * math.comb(mu, el) * math.comb(k, m - el) for el in terms))
+    out = []
+    for j in range(1, N + 1):
+        terms = range(max(0, j - mu - k), min(j, len(K) - 1) + 1)
+        out.append(Fraction(sum(K[i] * ps[j - i] for i in terms), D * q**j))
+    return tuple(out)
 
 
 def enumerate_altgold_equilibria(N: int, a, free_samples=DEFAULT_FREE_SAMPLES):
@@ -720,6 +735,30 @@ def conjecture_215_product(nu: int, mu: int, N: int) -> IntegerPolynomial:
     return acc
 
 
+def gcd_degree(p, q) -> int:
+    """Degree of ``gcd(p, q)`` by Euclid over the rationals (descending
+    coefficient lists with nonzero leading coefficients)."""
+    while q:
+        r = list(p)
+        while len(r) >= len(q):
+            f = r[0] / q[0]
+            for k in range(1, len(q)):
+                r[k] -= f * q[k]
+            r.pop(0)
+        while r and r[0] == 0:
+            r.pop(0)
+        p, q = q, r
+    return len(p) - 1
+
+
+def distinct_roots(cbar) -> int:
+    """Number of distinct zeros of ``P = (1, c_1, .., c_N)``, read as a
+    descending polynomial: ``N - deg gcd(P, P')``, by :func:`gcd_degree`."""
+    P = [Fraction(1), *map(Fraction, cbar)]
+    dP = [(len(cbar) - k) * x for k, x in enumerate(P[:-1])]
+    return len(cbar) - gcd_degree(P, dP)
+
+
 def discriminant_vanishes(cbar) -> bool:
     """Whether ``P = (1, c_1, .., c_N)``, read as a descending polynomial,
     has a repeated zero: the determinant of the Sylvester matrix of ``P``
@@ -1003,9 +1042,11 @@ def solve_ivp_reference(rhs, y0, t_span, tol=1e-10, t_eval=None, return_dense=Fa
     bound is ``100 eps sqrt(n) (1 + |y|)`` instead.
 
     ``rhs`` is called as given, with no checks of its own: it is checked
-    once, on the initial state.  The interpolant (three extra ``rhs``
-    evaluations per step) is built only for the steps that contain a
-    sample, unless ``return_dense`` asks for it on every step.
+    once, on the initial state, and that value is the solver's first
+    ``f``, so a run makes two calls before its first step.  The
+    interpolant (three extra ``rhs`` evaluations per step) is built only
+    for the steps that contain a sample, unless ``return_dense`` asks for
+    it on every step.
 
     Parameters
     ----------
@@ -1064,9 +1105,12 @@ def solve_ivp_reference(rhs, y0, t_span, tol=1e-10, t_eval=None, return_dense=Fa
             on_step(t, y)
         return 1.0
 
+    # the solver's first rhs call is handed the checked f
+    first = [f]
+    seeded = lambda t, y: first.pop() if first else rhs(t, y)
     scaled = max(tol / np.sqrt(y.size), 100 * np.finfo(float).eps)
     sol = solve_ivp(
-        rhs, (t0, t1), y, method="DOP853", t_eval=t_eval, dense_output=return_dense,
+        seeded, (t0, t1), y, method="DOP853", t_eval=t_eval, dense_output=return_dense,
         events=step_hook, rtol=scaled, atol=scaled,
     )
     if sol.status == -1:

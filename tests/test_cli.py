@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goldfish
-from goldfish import polynomials, spectrum
+from goldfish import dynamics, polynomials, spectrum
 from goldfish.cli import build_parser, main
 from goldfish.dynamics import ModelSpec, ParticleState, System, simulate
 from goldfish.equilibria import cbar_closed_form
@@ -586,6 +586,31 @@ def test_sweep_cell_bug_propagates(monkeypatch):
     argv = ["sweep", "--which", "integrality", "--nu-list", "0", "--n-max", "2", "--threads", "1"]
     with pytest.raises(KeyError, match="bug"):
         main(argv)
+
+
+def test_verify_check_failure_is_recorded_and_a_bug_propagates(monkeypatch, tmp_path):
+    """A check whose computation fails (here a division by zero) is a failed
+    check, and verify exits 1; any other exception is a bug and leaves
+    verify."""
+
+    def raising(exc):
+        def check(*args, **kwargs):
+            raise exc
+
+        return check
+
+    monkeypatch.setattr(
+        dynamics, "residual_coupling_identity", raising(ZeroDivisionError("division by zero"))
+    )
+    out = tmp_path / "v.json"
+    assert run(["verify", "--seed", "0", "--json", str(out)]) == 1
+    report = json.loads(out.read_text())
+    failed = {"name": "coupling_identity", "error": "division by zero", "pass": False}
+    assert report["failures"] == [failed]
+    assert sum(check.get("pass", False) for check in report["results"]) == 5
+    monkeypatch.setattr(dynamics, "residual_coupling_identity", raising(KeyError("bug")))
+    with pytest.raises(KeyError, match="bug"):
+        main(["verify", "--seed", "0"])
 
 
 def test_sweep_cell_overflow_is_a_recorded_failure(monkeypatch, tmp_path):

@@ -324,6 +324,72 @@ def test_tail_family_equals_closed_form_oracle(cell):
     assert {type(x) for x in got} == {Fraction}
 
 
+_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-20, 20).map(Fraction),
+    st.fractions(-20, 20, max_denominator=10**6),
+)
+
+
+@st.composite
+def _altgold_cells(draw, max_N=16):
+    """``(family, N, a, mu, nu, c)`` of any rational-time family with
+    ``N <= max_N``, ``a`` and ``c`` rational (zero and negative included,
+    denominators up to ``10^6``)."""
+    family = draw(st.sampled_from(list(Family)[1:]))
+    nu = {Family.ALTGOLD_BINOMIAL: 0, Family.ALTGOLD_NU2: 2, Family.ALTGOLD_NU5PLUS: 5}[family]
+    N = draw(st.integers(max(nu, 1), max_N))
+    if nu == 5:
+        nu = draw(st.integers(5, N))
+    mu = draw(st.integers(0, N - nu))
+    return family, N, draw(_rationals), mu, nu, draw(_rationals)
+
+
+@given(_altgold_cells())
+def test_altgold_expansion_equals_closed_form_oracle(cell):
+    """Each family multiplied out on integers in ``u = q z`` equals its
+    closed form from the double-binomial coefficients."""
+    got = expand_altgold_psi(*cell)
+    assert got == oracles.altgold_closed_form(*cell)
+    assert type(got) is tuple and {type(x) for x in got} == {Fraction}
+
+
+@st.composite
+def _genuineness_configs(draw):
+    """Equilibria of both systems with ``N <= 10``: rational-time cells
+    (``a = 0`` and repeated roots among them), the quadratic family at its
+    double-root constant ``c = 2a``, isochronous cells, the resonant
+    branch included, and any of them with ``c_1`` shifted off the
+    equilibrium."""
+    kind = draw(st.sampled_from(("altgold", "double root", "iso")))
+    if kind == "iso":
+        nu = draw(st.sampled_from((*equilibria.ISO_NU_VALUES, equilibria.RESONANT_NU)))
+        N = draw(st.integers(max(nu, 1), 10))
+        mu = draw(st.integers(nu, N))
+        cbar = expand_iso_psi(nu, mu, N, draw(_rationals))
+        cfg = EquilibriumConfig(Family.ISO, N, nu, mu, {}, cbar)
+    else:
+        family, N, a, mu, nu, c = draw(_altgold_cells(max_N=10))
+        if kind == "double root":
+            family, nu, N, c = Family.ALTGOLD_NU2, 2, max(N, 2), 2 * a
+            mu = min(mu, N - 2)
+        cbar = expand_altgold_psi(family, N, a, mu, nu, c)
+        cfg = EquilibriumConfig(family, N, nu, mu, {"a": a, "c": c}, cbar)
+    shift = draw(st.one_of(st.just(Fraction(0)), _rationals))
+    return EquilibriumConfig(
+        cfg.family, cfg.N, cfg.nu, cfg.mu, cfg.free, (cfg.cbar[0] + shift, *cfg.cbar[1:])
+    )
+
+
+@given(_genuineness_configs())
+def test_squarefree_gcd_equals_fraction_euclid(cfg):
+    """The integer gcd counts as many distinct roots as Euclid over the
+    rationals, and its verdict is the Sylvester determinant's."""
+    rep = genuineness_check(cfg)
+    assert rep.distinct_roots == oracles.distinct_roots(cfg.cbar)
+    assert (rep.verdict == "DEGENERATE") == oracles.discriminant_vanishes(cfg.cbar)
+
+
 def test_altgold_residuals_exactly_zero():
     for N in (1, 2, 3, 4, 5, 6):
         for a in (Fraction(1), Fraction(2), Fraction(1, 2)):

@@ -322,9 +322,9 @@ def test_reference_cases_reach_a_retry_and_the_tol_floor():
     cases = {name: case for name, *case in _reference_cases()}
     rhs, y0, t1, kwargs = cases["stiff relaxation, retried"]
     _, steps, calls = _integrate_recorded(integrate_ode, rhs, y0, (0.0, t1), **kwargs)
-    # the check, scipy's first f and its first-step probe, then twelve
-    # calls per attempt (no sample, so no interpolant)
-    retries, rest = divmod(calls - 3 - 12 * (len(steps) - 1), 12)
+    # the check, which is scipy's first f, and its first-step probe, then
+    # twelve calls per attempt (no sample, so no interpolant)
+    retries, rest = divmod(calls - 2 - 12 * (len(steps) - 1), 12)
     assert rest == 0 and retries >= 1
     rhs, y0, t1, kwargs = cases["gold N = 2, tol at the floor"]
     floor = 100 * np.finfo(float).eps * np.sqrt(y0.size)
